@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ptmap_arch::presets;
 use ptmap_ir::dfg::build_dfg;
 use ptmap_ir::{Dfg, Program, ProgramBuilder};
-use ptmap_mapper::{map_dfg, MapperConfig, Speculation};
+use ptmap_mapper::{map_dfg, MapperConfig};
 
 fn gemm(n: u64) -> Program {
     let mut b = ProgramBuilder::new("gemm");
@@ -82,17 +82,6 @@ fn mapper_hotpath(c: &mut Criterion) {
     for (name, dfg, arch) in &cases {
         c.bench_function(&format!("map_dfg/{name}"), |b| {
             b.iter(|| map_dfg(black_box(dfg), arch, &cfg).unwrap());
-        });
-    }
-    // The speculative ladder on the same cases, under separate bench
-    // IDs so the sequential `map_dfg/*` baselines stay comparable
-    // across revisions. Mappings are bit-identical (CI-gated); only
-    // wall clock may differ, and only on cases that escalate past the
-    // MII.
-    let spec = MapperConfig::default().with_speculation(Speculation::Fixed(4));
-    for (name, dfg, arch) in &cases {
-        c.bench_function(&format!("map_dfg_speculate4/{name}"), |b| {
-            b.iter(|| map_dfg(black_box(dfg), arch, &spec).unwrap());
         });
     }
 }

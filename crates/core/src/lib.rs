@@ -220,56 +220,33 @@ impl PtMap {
     /// [`PtMapError::NothingMappable`] when context generation fails for
     /// every ranked choice.
     pub fn compile(&self, program: &Program, arch: &CgraArch) -> Result<CompileReport, PtMapError> {
-        self.compile_instrumented(program, arch).0
+        self.compile_instrumented_traced(
+            program,
+            arch,
+            &ptmap_governor::Budget::unlimited(),
+            &ptmap_trace::Tracer::disabled(),
+        )
+        .0
     }
 
     /// Runs the full pipeline under a cooperative
-    /// [`ptmap_governor::Budget`]: every stage checks the budget at its
-    /// natural granularity (per variant branch while exploring, per
-    /// candidate while evaluating, per placement attempt while mapping)
-    /// and surfaces [`PtMapError::Timeout`] / [`PtMapError::Cancelled`]
-    /// promptly when it runs out.
+    /// [`ptmap_governor::Budget`] with span-tree instrumentation,
+    /// returning the per-stage [`CompileMetrics`] alongside the result
+    /// (the metrics are filled even when compilation fails).
+    ///
+    /// Every stage checks the budget at its natural granularity (per
+    /// variant branch while exploring, per candidate while evaluating,
+    /// per placement attempt while mapping) and surfaces
+    /// [`PtMapError::Timeout`] / [`PtMapError::Cancelled`] promptly
+    /// when it runs out. `explore` / `evaluate` / `map` / `simulate`
+    /// child spans are recorded on `tracer` (the mapper nests its
+    /// per-II `ii_attempt` spans under `map`). A disabled tracer costs
+    /// nothing; an enabled one never changes the compile result.
     ///
     /// # Errors
     ///
-    /// Everything [`PtMap::compile`] returns, plus the budget errors.
-    pub fn compile_budgeted(
-        &self,
-        program: &Program,
-        arch: &CgraArch,
-        budget: &ptmap_governor::Budget,
-    ) -> Result<CompileReport, PtMapError> {
-        self.compile_instrumented_budgeted(program, arch, budget).0
-    }
-
-    /// Runs the full pipeline, returning the per-stage
-    /// [`CompileMetrics`] alongside the result (the metrics are filled
-    /// even when compilation fails).
-    pub fn compile_instrumented(
-        &self,
-        program: &Program,
-        arch: &CgraArch,
-    ) -> (Result<CompileReport, PtMapError>, CompileMetrics) {
-        self.compile_instrumented_budgeted(program, arch, &ptmap_governor::Budget::unlimited())
-    }
-
-    /// [`PtMap::compile_budgeted`] with [`CompileMetrics`] (see
-    /// [`PtMap::compile_instrumented`]).
-    pub fn compile_instrumented_budgeted(
-        &self,
-        program: &Program,
-        arch: &CgraArch,
-        budget: &ptmap_governor::Budget,
-    ) -> (Result<CompileReport, PtMapError>, CompileMetrics) {
-        self.compile_instrumented_traced(program, arch, budget, &ptmap_trace::Tracer::disabled())
-    }
-
-    /// [`PtMap::compile_instrumented_budgeted`] with span-tree
-    /// instrumentation: records `explore` / `evaluate` / `map` /
-    /// `simulate` child spans (the mapper nests its per-II
-    /// `ii_attempt` spans under `map`) on `tracer`. A disabled tracer
-    /// makes this identical to the untraced entry point; an enabled
-    /// one never changes the compile result.
+    /// In the returned result: everything [`PtMap::compile`] returns,
+    /// plus the budget errors.
     pub fn compile_instrumented_traced(
         &self,
         program: &Program,
@@ -513,7 +490,6 @@ impl PtMap {
             }
             m.exact_optimality_proofs += outcome.proven_optimal as usize;
             m.portfolio_cancellations += outcome.losers_cancelled as usize;
-            m.speculative_rungs_cancelled += outcome.speculative_cancelled as usize;
             let mapping = outcome.mapping;
             // map_dfg validates internally when enabled; an accepted
             // mapping was therefore also a validated one.
@@ -601,6 +577,7 @@ mod tests {
     use ptmap_arch::presets;
     use ptmap_eval::AnalyticalPredictor;
     use ptmap_mapper::map_dfg;
+    use ptmap_trace::Tracer;
 
     fn quick_config() -> PtMapConfig {
         PtMapConfig {
@@ -680,7 +657,12 @@ mod tests {
     fn instrumented_compile_fills_metrics() {
         let p = ptmap_workloads::micro::gemm(24);
         let ptmap = PtMap::new(Box::new(AnalyticalPredictor), quick_config());
-        let (report, m) = ptmap.compile_instrumented(&p, &presets::s4());
+        let (report, m) = ptmap.compile_instrumented_traced(
+            &p,
+            &presets::s4(),
+            &ptmap_governor::Budget::unlimited(),
+            &Tracer::disabled(),
+        );
         let report = report.unwrap();
         assert_eq!(m.candidates_explored, report.candidates_explored);
         assert_eq!(m.candidates_pruned, report.candidates_pruned);
@@ -772,7 +754,9 @@ mod tests {
         let budget = ptmap_governor::Budget::cancellable();
         budget.cancel();
         assert_eq!(
-            ptmap.compile_budgeted(&p, &presets::s4(), &budget),
+            ptmap
+                .compile_instrumented_traced(&p, &presets::s4(), &budget, &Tracer::disabled())
+                .0,
             Err(PtMapError::Cancelled)
         );
     }
@@ -784,7 +768,9 @@ mod tests {
         let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::ZERO);
         let t0 = Instant::now();
         assert_eq!(
-            ptmap.compile_budgeted(&p, &presets::s4(), &budget),
+            ptmap
+                .compile_instrumented_traced(&p, &presets::s4(), &budget, &Tracer::disabled())
+                .0,
             Err(PtMapError::Timeout)
         );
         assert!(
@@ -801,7 +787,10 @@ mod tests {
         let ptmap = PtMap::new(Box::new(AnalyticalPredictor), quick_config());
         let free = ptmap.compile(&p, &presets::s4()).unwrap();
         let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::from_secs(3600));
-        let timed = ptmap.compile_budgeted(&p, &presets::s4(), &budget).unwrap();
+        let timed = ptmap
+            .compile_instrumented_traced(&p, &presets::s4(), &budget, &Tracer::disabled())
+            .0
+            .unwrap();
         assert_eq!(free.without_timing(), timed.without_timing());
     }
 }

@@ -1,6 +1,6 @@
 //! Per-compilation stage metrics.
 //!
-//! [`PtMap::compile_instrumented`](crate::PtMap::compile_instrumented)
+//! [`PtMap::compile_instrumented_traced`](crate::PtMap::compile_instrumented_traced)
 //! fills a [`CompileMetrics`] while it runs, splitting the wall clock
 //! across the four pipeline stages (exploration, evaluation, modulo
 //! scheduling, simulation) and counting how the search spent its
@@ -53,10 +53,6 @@ pub struct CompileMetrics {
     /// Losing portfolio arms cancelled after a winner landed.
     #[serde(default)]
     pub portfolio_cancellations: usize,
-    /// Speculative heuristic II-ladder rungs cancelled mid-flight
-    /// after a lower II succeeded (0 with speculation off).
-    #[serde(default)]
-    pub speculative_rungs_cancelled: usize,
     /// Degradations applied to produce this result (e.g. a retry at
     /// reduced effort after a timeout, or an analytical-predictor
     /// fallback after a GNN load failure). Empty for a full-fidelity
@@ -99,7 +95,6 @@ impl CompileMetrics {
         self.backend_exact_wins += other.backend_exact_wins;
         self.exact_optimality_proofs += other.exact_optimality_proofs;
         self.portfolio_cancellations += other.portfolio_cancellations;
-        self.speculative_rungs_cancelled += other.speculative_rungs_cancelled;
         self.degradations.extend(other.degradations.iter().cloned());
         self.predictor_fallbacks += other.predictor_fallbacks;
         self.model_version = self.model_version.max(other.model_version);

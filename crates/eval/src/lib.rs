@@ -24,9 +24,8 @@ pub mod tap;
 
 pub use error::EvalError;
 pub use pnl::{
-    evaluate_candidate, evaluate_forest, evaluate_forest_sharded, evaluate_forest_sharded_budgeted,
-    evaluate_result_array, evaluate_result_array_sharded, evaluate_result_array_sharded_budgeted,
-    EvaluatedCandidate, PnlRanking, PruneReason,
+    evaluate_candidate, evaluate_forest, evaluate_forest_sharded_budgeted, EvaluatedCandidate,
+    PnlRanking, PruneReason,
 };
 pub use predictor::{AnalyticalPredictor, GnnPredictor, IiPredictor, OraclePredictor};
 pub use program::{non_pnl_cycles, select_programs, EvaluatedForest, ProgramChoice};

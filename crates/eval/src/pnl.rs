@@ -115,7 +115,7 @@ pub fn evaluate_candidate(
 }
 
 /// Profiles and ranks every candidate of one PNL's result array.
-pub fn evaluate_result_array(
+fn evaluate_result_array(
     candidates: &[PnlCandidate],
     arch: &CgraArch,
     predictor: &dyn IiPredictor,
@@ -129,37 +129,19 @@ pub fn evaluate_result_array(
 }
 
 /// Like [`evaluate_result_array`] but shards candidate profiling across
-/// `workers` scoped threads. Candidates are independent, so the merged
+/// `workers` scoped threads under a cooperative
+/// [`ptmap_governor::Budget`]. Candidates are independent, so the merged
 /// (exploration-ordered) result is bit-identical to the serial path —
-/// batch compilations lean on this for within-job parallelism.
-pub fn evaluate_result_array_sharded(
-    candidates: &[PnlCandidate],
-    arch: &CgraArch,
-    predictor: &(dyn IiPredictor + Sync),
-    config: &EvalConfig,
-    workers: usize,
-) -> PnlRanking {
-    evaluate_result_array_sharded_budgeted(
-        candidates,
-        arch,
-        predictor,
-        config,
-        workers,
-        &ptmap_governor::Budget::unlimited(),
-    )
-    .expect("unlimited budget cannot run out")
-}
-
-/// [`evaluate_result_array_sharded`] under a cooperative
-/// [`ptmap_governor::Budget`]: every shard checks the budget per
-/// candidate and stops early when it runs out, so a deadline interrupts
-/// profiling within one candidate's latency instead of one PNL's.
+/// batch compilations lean on this for within-job parallelism. Every
+/// shard checks the budget per candidate and stops early when it runs
+/// out, so a deadline interrupts profiling within one candidate's
+/// latency instead of one PNL's.
 ///
 /// # Errors
 ///
 /// [`crate::EvalError::Timeout`] / [`crate::EvalError::Cancelled`] when
 /// the budget runs out mid-evaluation.
-pub fn evaluate_result_array_sharded_budgeted(
+fn evaluate_result_array_sharded_budgeted(
     candidates: &[PnlCandidate],
     arch: &CgraArch,
     predictor: &(dyn IiPredictor + Sync),
@@ -251,30 +233,11 @@ pub fn evaluate_forest(
     crate::program::EvaluatedForest { variants }
 }
 
-/// Profiles a whole result forest with sharded candidate evaluation
-/// (see [`evaluate_result_array_sharded`]). `workers <= 1` degenerates
-/// to the serial path.
-pub fn evaluate_forest_sharded(
-    forest: &ResultForest,
-    arch: &CgraArch,
-    predictor: &(dyn IiPredictor + Sync),
-    config: &EvalConfig,
-    workers: usize,
-) -> crate::program::EvaluatedForest {
-    evaluate_forest_sharded_budgeted(
-        forest,
-        arch,
-        predictor,
-        config,
-        workers,
-        &ptmap_governor::Budget::unlimited(),
-    )
-    .expect("unlimited budget cannot run out")
-}
-
-/// [`evaluate_forest_sharded`] under a cooperative
-/// [`ptmap_governor::Budget`] (see
-/// [`evaluate_result_array_sharded_budgeted`]).
+/// Profiles a whole result forest with candidate evaluation sharded
+/// across `workers` threads under a cooperative
+/// [`ptmap_governor::Budget`]. `workers <= 1` degenerates to the serial
+/// path, and any worker count gives the same result as
+/// [`evaluate_forest`].
 ///
 /// # Errors
 ///
@@ -377,13 +340,15 @@ mod tests {
             &cfg,
         );
         for workers in [2, 3, 8, 64] {
-            let sharded = evaluate_result_array_sharded(
+            let sharded = evaluate_result_array_sharded_budgeted(
                 &forest.variants[0].pnl_candidates[0],
                 &arch,
                 &AnalyticalPredictor,
                 &cfg,
                 workers,
-            );
+                &ptmap_governor::Budget::unlimited(),
+            )
+            .unwrap();
             assert_eq!(serial.performance, sharded.performance, "workers={workers}");
             assert_eq!(serial.pareto, sharded.pareto, "workers={workers}");
             assert_eq!(serial.evaluated.len(), sharded.evaluated.len());

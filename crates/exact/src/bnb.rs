@@ -617,9 +617,6 @@ impl MapperBackend for ExactBackend {
                 proven_optimal: true,
                 exact_steps: steps,
                 losers_cancelled: 0,
-                // The warm start's speculation events are real even
-                // when the exact sweep wins.
-                speculative_cancelled: incumbent.as_ref().map_or(0, |o| o.speculative_cancelled),
                 mapping: *mapping,
             }),
             SweepEnd::ProvenUpTo { next_ii, steps } => match incumbent {

@@ -65,7 +65,7 @@ use ptmap_trace::Tracer;
 ///
 /// # Errors
 ///
-/// As [`ptmap_mapper::map_dfg_budgeted`].
+/// As [`ptmap_mapper::map_dfg_traced`].
 pub fn map_with_backend(
     dfg: &Dfg,
     arch: &CgraArch,

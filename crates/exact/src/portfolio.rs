@@ -114,7 +114,6 @@ fn resolve(
                     proven_optimal: true,
                     exact_steps: steps,
                     losers_cancelled,
-                    speculative_cancelled: h.speculative_cancelled,
                     mapping: *mapping,
                 })
             } else if mapping.ii == h.mapping.ii {
@@ -128,7 +127,6 @@ fn resolve(
                     proven_optimal: true,
                     exact_steps: steps,
                     losers_cancelled,
-                    speculative_cancelled: h.speculative_cancelled,
                     mapping: h.mapping,
                 })
             } else {
@@ -156,7 +154,6 @@ fn resolve(
                 proven_optimal: proven,
                 exact_steps: steps,
                 losers_cancelled,
-                speculative_cancelled: h.speculative_cancelled,
                 mapping: h.mapping,
             })
         }
@@ -167,7 +164,6 @@ fn resolve(
             proven_optimal: h.proven_optimal,
             exact_steps: steps,
             losers_cancelled,
-            speculative_cancelled: h.speculative_cancelled,
             mapping: h.mapping,
         }),
         (Ok(h), Err(e)) => match e {
@@ -180,7 +176,6 @@ fn resolve(
                 proven_optimal: h.proven_optimal,
                 exact_steps: 0,
                 losers_cancelled,
-                speculative_cancelled: h.speculative_cancelled,
                 mapping: h.mapping,
             }),
             // Anything else (a broken invariant) is a real bug.
@@ -193,7 +188,6 @@ fn resolve(
             proven_optimal: true,
             exact_steps: steps,
             losers_cancelled,
-            speculative_cancelled: 0,
             mapping: *mapping,
         }),
         (Err(h_err), Ok(SweepEnd::ProvenUpTo { next_ii, .. })) => {
@@ -236,7 +230,6 @@ mod tests {
             proven_optimal: false,
             exact_steps: 0,
             losers_cancelled: 0,
-            speculative_cancelled: 0,
             mapping: mapping.clone(),
         };
         (h, mapping)

@@ -187,18 +187,6 @@ impl Budget {
         self.inner.is_none()
     }
 
-    /// Whether a finite work-unit limit is in force
-    /// ([`Budget::with_work_limit`]). Children never inherit the work
-    /// counter, so callers that would otherwise split work across
-    /// [`Budget::scoped_child`] siblings use this to keep metered
-    /// budgets on the single-threaded path where every
-    /// [`Budget::charge`] lands on this counter.
-    pub fn has_work_limit(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.work_limit != u64::MAX)
-    }
-
     /// The absolute deadline, if one is set.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.as_ref().and_then(|i| i.deadline)
@@ -435,18 +423,6 @@ mod tests {
         assert_eq!(a.check(), Ok(()));
         assert_eq!(b.check(), Err(BudgetExceeded::Cancelled));
         assert_eq!(c.check(), Err(BudgetExceeded::Cancelled));
-    }
-
-    #[test]
-    fn work_limit_visibility() {
-        assert!(!Budget::unlimited().has_work_limit());
-        assert!(!Budget::cancellable().has_work_limit());
-        assert!(Budget::with_work_limit(3).has_work_limit());
-        // Children get fresh (unlimited) counters, and report so.
-        assert!(!Budget::with_work_limit(3).child(None).has_work_limit());
-        assert!(!Budget::with_work_limit(3)
-            .scoped_child(None)
-            .has_work_limit());
     }
 
     #[test]

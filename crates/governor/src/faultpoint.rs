@@ -189,17 +189,6 @@ pub fn with_scope<T>(scope: &str, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// The calling thread's current fault scope, if one is set.
-///
-/// Scopes are thread-local, so worker threads spawned *inside* a
-/// scoped region (the mapper's speculative II rungs, for example)
-/// start scopeless and would silently escape an `@<scope>`-filtered
-/// fault. Such workers capture the spawning thread's scope with this
-/// getter and re-enter it via [`with_scope`].
-pub fn current_scope() -> Option<String> {
-    SCOPE.with(|s| s.borrow().clone())
-}
-
 /// The fail-point hook. Inert (one atomic load) unless faults are
 /// configured; otherwise the first spec matching `site` and the
 /// thread's scope fires its mode.

@@ -132,10 +132,6 @@ pub struct BackendOutcome {
     /// How many losing portfolio arms were cancelled (0 outside
     /// portfolio mode).
     pub losers_cancelled: u32,
-    /// How many speculative II-ladder rungs the heuristic search
-    /// cancelled mid-flight after a lower II succeeded (0 with
-    /// speculation off; see [`crate::config::Speculation`]).
-    pub speculative_cancelled: u32,
 }
 
 /// A search strategy that maps DFGs onto CGRAs. See the module docs
@@ -150,7 +146,7 @@ pub trait MapperBackend {
     ///
     /// # Errors
     ///
-    /// As [`crate::map_dfg_budgeted`].
+    /// As [`crate::map_dfg_traced`].
     fn map(
         &self,
         dfg: &Dfg,
@@ -180,8 +176,7 @@ impl MapperBackend for HeuristicBackend {
         budget: &Budget,
         tracer: &Tracer,
     ) -> Result<BackendOutcome, MapError> {
-        let (mapping, speculative_cancelled) =
-            crate::map_dfg_traced_counted(dfg, arch, config, budget, tracer)?;
+        let mapping = crate::map_dfg_traced(dfg, arch, config, budget, tracer)?;
         // Landing on the MII is the one optimality certificate the
         // heuristic gets for free: the MII is a valid lower bound.
         let proven_optimal = mapping.ii == mapping.mii;
@@ -192,7 +187,6 @@ impl MapperBackend for HeuristicBackend {
             proven_optimal,
             exact_steps: 0,
             losers_cancelled: 0,
-            speculative_cancelled,
             mapping,
         })
     }

@@ -2,98 +2,6 @@
 
 use crate::backend::BackendKind;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::str::FromStr;
-
-/// Speculative parallel II racing in the heuristic scheduler's
-/// escalation ladder (see [`crate::scheduler::Scheduler::run_traced`]).
-///
-/// With speculation on, consecutive candidate IIs are raced on worker
-/// threads instead of being tried one after another; the lowest
-/// successful II always wins and — because each rung derives its RNG
-/// from `(seed, ii)` alone — the produced mapping is bit-identical to
-/// the sequential walk's. Speculation therefore only changes wall
-/// clock, never results, which is also why the field is *not* part of
-/// the serialized config (see [`MapperConfig::speculation`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Speculation {
-    /// Walk the II ladder sequentially (the default).
-    #[default]
-    Off,
-    /// Race a fixed number of consecutive candidate IIs per wave.
-    /// `Fixed(1)` degenerates to the sequential walk.
-    Fixed(u32),
-    /// Start two rungs wide and widen (up to
-    /// [`Speculation::MAX_WIDTH`]) while completed rungs keep failing
-    /// expensively, judged from their [`crate::state::SearchStats`]
-    /// counters. Width is additionally clamped to the machine's
-    /// available parallelism, so on a single core `Auto` degenerates
-    /// to the sequential walk instead of timeslicing raced rungs.
-    Auto,
-}
-
-impl Speculation {
-    /// The widest wave any policy will race. Bounds thread fan-out per
-    /// mapping attempt; batch-level parallelism multiplies on top.
-    pub const MAX_WIDTH: u32 = 8;
-
-    /// The width of the first wave under this policy.
-    pub fn initial_width(self) -> u32 {
-        match self {
-            Speculation::Off => 1,
-            Speculation::Fixed(w) => w.clamp(1, Self::MAX_WIDTH),
-            Speculation::Auto => 2u32.min(available_cores()),
-        }
-    }
-
-    /// Whether this policy ever races more than one rung at a time.
-    ///
-    /// `Auto` answers `false` on a single-core machine: raced rungs
-    /// would only timeslice the one core, so the ladder runs
-    /// sequentially there (the produced mapping is identical either
-    /// way — speculation is wall-clock-only by construction).
-    /// `Fixed(w)` takes the caller at their word and always races.
-    pub fn is_parallel(self) -> bool {
-        match self {
-            Speculation::Off => false,
-            Speculation::Fixed(w) => w > 1,
-            Speculation::Auto => available_cores() > 1,
-        }
-    }
-}
-
-/// The machine's available parallelism, 1 when unknown.
-pub(crate) fn available_cores() -> u32 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
-}
-
-impl fmt::Display for Speculation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Speculation::Off => f.write_str("off"),
-            Speculation::Fixed(w) => write!(f, "{w}"),
-            Speculation::Auto => f.write_str("auto"),
-        }
-    }
-}
-
-impl FromStr for Speculation {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(Speculation::Off),
-            "auto" => Ok(Speculation::Auto),
-            other => match other.parse::<u32>() {
-                Ok(w) if (1..=Speculation::MAX_WIDTH).contains(&w) => Ok(Speculation::Fixed(w)),
-                _ => Err(format!(
-                    "bad speculation width {other:?} (expected off, auto, or 1..={})",
-                    Speculation::MAX_WIDTH
-                )),
-            },
-        }
-    }
-}
 
 /// Tuning knobs of the modulo scheduler.
 ///
@@ -135,13 +43,6 @@ pub struct MapperConfig {
     /// returns the best mapping found.
     #[serde(default = "default_exact_steps_per_ii")]
     pub exact_steps_per_ii: u64,
-    /// Speculative parallel II racing in the heuristic ladder (see
-    /// [`Speculation`]). Deliberately `#[serde(skip)]`: fixed-seed
-    /// mappings are bit-identical whatever the width, so the pipeline
-    /// cache key — a hash of the serialized config — must not fragment
-    /// on an execution-strategy knob that cannot change results.
-    #[serde(skip)]
-    pub speculation: Speculation,
 }
 
 fn default_exact_steps_per_ii() -> u64 {
@@ -158,7 +59,6 @@ impl Default for MapperConfig {
             validate: false,
             backend: BackendKind::Heuristic,
             exact_steps_per_ii: default_exact_steps_per_ii(),
-            speculation: Speculation::Off,
         }
     }
 }
@@ -185,12 +85,6 @@ impl MapperConfig {
     /// A configuration with a different search backend.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// A configuration with a different speculation policy.
-    pub fn with_speculation(mut self, speculation: Speculation) -> Self {
-        self.speculation = speculation;
         self
     }
 
@@ -233,51 +127,5 @@ mod tests {
     #[test]
     fn effort_floor_is_one() {
         assert_eq!(MapperConfig::default().with_effort(0).effort, 1);
-    }
-
-    #[test]
-    fn speculation_parses_and_displays() {
-        assert_eq!("off".parse(), Ok(Speculation::Off));
-        assert_eq!("auto".parse(), Ok(Speculation::Auto));
-        assert_eq!("1".parse(), Ok(Speculation::Fixed(1)));
-        assert_eq!("4".parse(), Ok(Speculation::Fixed(4)));
-        assert!("0".parse::<Speculation>().is_err());
-        assert!("999".parse::<Speculation>().is_err());
-        assert!("wide".parse::<Speculation>().is_err());
-        for s in [Speculation::Off, Speculation::Auto, Speculation::Fixed(3)] {
-            assert_eq!(s.to_string().parse(), Ok(s));
-        }
-        assert!(!Speculation::Off.is_parallel());
-        assert!(!Speculation::Fixed(1).is_parallel());
-        assert!(Speculation::Fixed(2).is_parallel());
-        // `Auto` races exactly when the machine can actually run rungs
-        // concurrently (single-core machines stay sequential).
-        assert_eq!(
-            Speculation::Auto.is_parallel(),
-            available_cores() > 1,
-            "Auto must track available parallelism"
-        );
-    }
-
-    #[test]
-    fn speculation_does_not_change_serialized_config() {
-        // The pipeline cache key hashes the serialized config;
-        // speculation cannot change mappings (fixed-seed outputs are
-        // bit-identical at any width), so it must not change the key.
-        // This is load-bearing for `#[serde(skip)]` above — if the
-        // field ever starts serializing, cache entries fragment per
-        // width for no semantic reason.
-        let base = serde_json::to_string(&MapperConfig::default()).unwrap();
-        for s in [
-            Speculation::Fixed(1),
-            Speculation::Fixed(4),
-            Speculation::Auto,
-        ] {
-            let spec = serde_json::to_string(&MapperConfig::default().with_speculation(s)).unwrap();
-            assert_eq!(base, spec, "speculation {s} leaked into the wire config");
-        }
-        // And deserializing a config without the field defaults to Off.
-        let cfg: MapperConfig = serde_json::from_str(&base).unwrap();
-        assert_eq!(cfg.speculation, Speculation::Off);
     }
 }

@@ -49,7 +49,7 @@ pub mod state;
 pub mod validate;
 
 pub use backend::{BackendKind, BackendOutcome, HeuristicBackend, MapperBackend};
-pub use config::{MapperConfig, Speculation};
+pub use config::MapperConfig;
 pub use context::{generate_contexts, ContextImage, ContextWord};
 pub use error::MapError;
 pub use mapping::{Mapping, OperandSource, Placement, ProducerRoutes, RoutePos, RouteRecord};
@@ -83,38 +83,32 @@ pub fn validation_enabled(config: &MapperConfig) -> bool {
 /// [`MapError::BrokenInvariant`] (a mapper bug) when the validator
 /// rejects a produced mapping.
 pub fn map_dfg(dfg: &Dfg, arch: &CgraArch, config: &MapperConfig) -> Result<Mapping, MapError> {
-    map_dfg_budgeted(dfg, arch, config, &ptmap_governor::Budget::unlimited())
+    map_dfg_traced(
+        dfg,
+        arch,
+        config,
+        &ptmap_governor::Budget::unlimited(),
+        &ptmap_trace::Tracer::disabled(),
+    )
 }
 
-/// [`map_dfg`] under a cooperative [`ptmap_governor::Budget`]: the II
-/// escalation loop checks the budget per restart and per node placement,
-/// returning [`MapError::Timeout`] / [`MapError::Cancelled`] promptly
-/// when it runs out. An unlimited budget is free; a deadline-free
-/// cancellable budget costs one relaxed atomic load per check.
+/// [`map_dfg`] under a cooperative [`ptmap_governor::Budget`] and with
+/// span-tree instrumentation.
+///
+/// The II escalation loop checks the budget per restart and per node
+/// placement, returning [`MapError::Timeout`] / [`MapError::Cancelled`]
+/// promptly when it runs out. An unlimited budget is free; a
+/// deadline-free cancellable budget costs one relaxed atomic load per
+/// check. One `ii_attempt` span per candidate II is recorded under
+/// `tracer`, carrying restart, placement-backtrack, BFS-expansion, and
+/// route-failure counters (see [`scheduler::Scheduler::run`]). A
+/// disabled tracer costs nothing; an enabled one never changes the
+/// produced mapping.
 ///
 /// # Errors
 ///
 /// Everything [`map_dfg`] returns, plus [`MapError::Timeout`] and
 /// [`MapError::Cancelled`] from the budget.
-pub fn map_dfg_budgeted(
-    dfg: &Dfg,
-    arch: &CgraArch,
-    config: &MapperConfig,
-    budget: &ptmap_governor::Budget,
-) -> Result<Mapping, MapError> {
-    map_dfg_traced(dfg, arch, config, budget, &ptmap_trace::Tracer::disabled())
-}
-
-/// [`map_dfg_budgeted`] with span-tree instrumentation: records one
-/// `ii_attempt` span per candidate II under `tracer`, carrying restart,
-/// placement-backtrack, BFS-expansion, and route-failure counters (see
-/// [`scheduler::Scheduler::run_traced`]). A disabled tracer makes this
-/// identical to [`map_dfg_budgeted`]; an enabled one never changes the
-/// produced mapping.
-///
-/// # Errors
-///
-/// As [`map_dfg_budgeted`].
 pub fn map_dfg_traced(
     dfg: &Dfg,
     arch: &CgraArch,
@@ -122,30 +116,9 @@ pub fn map_dfg_traced(
     budget: &ptmap_governor::Budget,
     tracer: &ptmap_trace::Tracer,
 ) -> Result<Mapping, MapError> {
-    map_dfg_traced_counted(dfg, arch, config, budget, tracer).map(|(m, _)| m)
-}
-
-/// [`map_dfg_traced`], additionally reporting how many speculative
-/// ladder rungs were cancelled mid-flight by a lower II's success
-/// (always 0 with [`config::Speculation::Off`]; see
-/// [`scheduler::Scheduler::run_traced_counted`]). This is the entry
-/// point backends use to surface the count on
-/// [`backend::BackendOutcome::speculative_cancelled`].
-///
-/// # Errors
-///
-/// As [`map_dfg_budgeted`].
-pub fn map_dfg_traced_counted(
-    dfg: &Dfg,
-    arch: &CgraArch,
-    config: &MapperConfig,
-    budget: &ptmap_governor::Budget,
-    tracer: &ptmap_trace::Tracer,
-) -> Result<(Mapping, u32), MapError> {
-    let (m, cancelled) =
-        scheduler::Scheduler::new(dfg, arch, config)?.run_traced_counted(budget, tracer)?;
+    let m = scheduler::Scheduler::new(dfg, arch, config)?.run(budget, tracer)?;
     if validation_enabled(config) {
         validate::validate(dfg, arch, &m).map_err(|v| MapError::BrokenInvariant(v.to_string()))?;
     }
-    Ok((m, cancelled))
+    Ok(m)
 }

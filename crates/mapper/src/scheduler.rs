@@ -29,7 +29,6 @@ use ptmap_ir::{Dfg, OpKind};
 use ptmap_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::AtomicU32;
 
 /// The scheduling engine. Construct with [`Scheduler::new`], then call
 /// [`Scheduler::run`].
@@ -94,96 +93,28 @@ impl<'a> Scheduler<'a> {
         self.mii
     }
 
-    /// Runs the II escalation loop with an unlimited budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::Infeasible`] when no II up to the configured
-    /// maximum works.
-    pub fn run(&self) -> Result<Mapping, MapError> {
-        self.run_budgeted(&Budget::unlimited())
-    }
-
-    /// Runs the II escalation loop under a cooperative [`Budget`].
+    /// Runs the II escalation loop under a cooperative [`Budget`],
+    /// recording one `ii_attempt` span per candidate II under `tracer`
+    /// with the restart / placement / backtrack / route-failure /
+    /// BFS-expansion counters of that rung.
     ///
     /// The budget is checked per placement attempt (once per node per
     /// restart), never inside the router's per-node BFS, so an
     /// unlimited (or deadline-free) budget adds no measurable cost to
-    /// the hot path.
+    /// the hot path. Tracing never perturbs the search: counters are
+    /// plain integer adds on scratch state the search already threads
+    /// around, the RNG is untouched, and a disabled tracer reduces
+    /// every span operation to an `Option` branch — so traced and
+    /// untraced runs of the same seed produce bit-identical mappings.
     ///
     /// # Errors
     ///
     /// [`MapError::Infeasible`] when no II up to the configured maximum
     /// works; [`MapError::Timeout`] / [`MapError::Cancelled`] when the
     /// budget runs out first.
-    pub fn run_budgeted(&self, budget: &Budget) -> Result<Mapping, MapError> {
-        self.run_traced(budget, &Tracer::disabled())
-    }
-
-    /// [`Scheduler::run_budgeted`] with span-tree instrumentation: one
-    /// `ii_attempt` span per candidate II carrying the restart /
-    /// placement / backtrack / route-failure / BFS-expansion counters
-    /// of that rung.
-    ///
-    /// Tracing never perturbs the search: counters are plain integer
-    /// adds on scratch state the search already threads around, the
-    /// RNG is untouched, and a disabled tracer reduces every span
-    /// operation to an `Option` branch — so traced and untraced runs
-    /// of the same seed produce bit-identical mappings.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::run_budgeted`].
-    pub fn run_traced(&self, budget: &Budget, tracer: &Tracer) -> Result<Mapping, MapError> {
-        self.run_traced_counted(budget, tracer).map(|(m, _)| m)
-    }
-
-    /// [`Scheduler::run_traced`], additionally reporting how many
-    /// speculative ladder rungs were cancelled mid-flight by a lower
-    /// II's success (always 0 with [`Speculation::Off`] — see
-    /// [`crate::config::Speculation`] — or on any error path).
-    ///
-    /// With speculation on, consecutive candidate IIs are raced on
-    /// scoped-child budgets instead of walked one after another. Each
-    /// rung's RNG derives from `(seed, ii)` alone ([`Self::rung_rng`]),
-    /// so every rung computes exactly what the sequential walk would
-    /// have computed at that II and the winning mapping is
-    /// bit-identical to the sequential walk's — speculation changes
-    /// wall clock only.
-    ///
-    /// Metered budgets ([`Budget::has_work_limit`]) force the
-    /// sequential path: child budgets get fresh, unlimited work
-    /// counters, so racing rungs under children would silently stop
-    /// charging the caller's counter.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::run_budgeted`].
-    pub fn run_traced_counted(
-        &self,
-        budget: &Budget,
-        tracer: &Tracer,
-    ) -> Result<(Mapping, u32), MapError> {
+    pub fn run(&self, budget: &Budget, tracer: &Tracer) -> Result<Mapping, MapError> {
         let start = self.mii.max(1);
         let max_ii = self.config.max_ii.max(start);
-        if self.config.speculation.is_parallel() && !budget.has_work_limit() {
-            self.run_speculative(start, max_ii, budget, tracer)
-        } else {
-            self.run_sequential(start, max_ii, budget, tracer)
-                .map(|m| (m, 0))
-        }
-    }
-
-    /// The sequential II escalation walk: one rung at a time, charging
-    /// the caller's budget directly (this is the path that keeps
-    /// work-limit metering exact).
-    fn run_sequential(
-        &self,
-        start: u32,
-        max_ii: u32,
-        budget: &Budget,
-        tracer: &Tracer,
-    ) -> Result<Mapping, MapError> {
         // Routing scratch shared by every attempt: the BFS buffers are
         // epoch-stamped, so reuse is O(1) and allocation-free once warm.
         let mut overlay = Overlay::default();
@@ -192,7 +123,7 @@ impl<'a> Scheduler<'a> {
             bufs.stats = SearchStats::default();
             let span = tracer.span("ii_attempt");
             let result = self.run_ii(ii, &mut overlay, &mut bufs, budget);
-            record_rung_attrs(&span, ii, &bufs.stats, &result, None);
+            record_rung_attrs(&span, ii, &bufs.stats, &result);
             drop(span);
             match result {
                 Ok(Some(m)) => return Ok(m),
@@ -203,176 +134,12 @@ impl<'a> Scheduler<'a> {
         Err(MapError::Infeasible { mii: start, max_ii })
     }
 
-    /// The speculative ladder: waves of consecutive candidate IIs raced
-    /// on scoped-child budgets.
-    ///
-    /// The first rung is *probed inline* with no threads at all — most
-    /// calls accept the MII outright, and spawning workers for rungs
-    /// that are then immediately cancelled costs more than a
-    /// sub-millisecond `run_ii` itself. Only after the probe fails does
-    /// the wave machinery start, and within each wave the lowest rung
-    /// again runs on the coordinating thread while workers race the
-    /// higher rungs with per-worker scratch (pooled across waves so the
-    /// epoch-stamped buffers stay allocation-free once warm). The first
-    /// rung to find a mapping publishes its II into a shared bound and
-    /// cancels every *higher* rung's budget; lower rungs are never
-    /// cancelled, so the lowest feasible II in the wave always gets to
-    /// finish and win. Results are resolved in ascending II order with
-    /// exactly the sequential walk's semantics — first success returns,
-    /// first non-cancellation error propagates — except that errors on
-    /// rungs above the winning II (our own cancellations) are ignored
-    /// and counted instead.
-    fn run_speculative(
-        &self,
-        start: u32,
-        max_ii: u32,
-        budget: &Budget,
-        tracer: &Tracer,
-    ) -> Result<(Mapping, u32), MapError> {
-        let spec = self.config.speculation;
-        let mut width = spec.initial_width();
-        // Workers are fresh threads with no thread-local fault scope;
-        // capture the spawning thread's scope so `@scope`-filtered
-        // fault injection still reaches speculative rungs.
-        let scope = faultpoint::current_scope();
-        // Coordinator scratch (probe + each wave's lowest rung) and the
-        // per-worker pool, all reused across waves.
-        let mut overlay = Overlay::default();
-        let mut bufs = RouterBuffers::default();
-        let mut pool: Vec<(Overlay, RouterBuffers)> = Vec::new();
-        let mut cancelled_total = 0u32;
-        // Inline probe of the first rung: identical to the sequential
-        // walk's first iteration, so the common no-escalation path pays
-        // zero speculative overhead.
-        {
-            bufs.stats = SearchStats::default();
-            let span = tracer.span("ii_attempt");
-            let result = self.run_ii(start, &mut overlay, &mut bufs, budget);
-            record_rung_attrs(&span, start, &bufs.stats, &result, Some(false));
-            drop(span);
-            match result {
-                Ok(Some(m)) => return Ok((m, 0)),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut next_ii = start + 1;
-        while next_ii <= max_ii {
-            let wave: Vec<u32> = (next_ii..=max_ii.min(next_ii + width - 1)).collect();
-            while pool.len() < wave.len().saturating_sub(1) {
-                pool.push((Overlay::default(), RouterBuffers::default()));
-            }
-            // Spans pre-created in ascending II order on this thread,
-            // so the trace layout is deterministic regardless of how
-            // the rungs interleave.
-            let spans: Vec<_> = wave.iter().map(|_| tracer.span("ii_attempt")).collect();
-            let budgets: Vec<Budget> = wave.iter().map(|_| budget.scoped_child(None)).collect();
-            // Lowest successful II of the wave (u32::MAX = none yet).
-            let best = AtomicU32::new(u32::MAX);
-            let mut results: Vec<Option<Result<Option<Mapping>, MapError>>> =
-                wave.iter().map(|_| None).collect();
-            let (rung0, rest) = results.split_at_mut(1);
-            std::thread::scope(|s| {
-                let wave = &wave;
-                let budgets = &budgets;
-                let best = &best;
-                let scope = &scope;
-                // Workers race the higher rungs...
-                for ((k, slot), (overlay, bufs)) in rest
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, s)| (k + 1, s))
-                    .zip(pool.iter_mut())
-                {
-                    s.spawn(move || {
-                        let ii = wave[k];
-                        let mut run = || {
-                            bufs.stats = SearchStats::default();
-                            let r = self.run_ii(ii, overlay, bufs, &budgets[k]);
-                            if matches!(r, Ok(Some(_))) {
-                                best.fetch_min(ii, std::sync::atomic::Ordering::AcqRel);
-                                // Higher rungs can at best tie a worse
-                                // II: stop them at their next
-                                // cooperative budget check.
-                                for (j, b) in budgets.iter().enumerate() {
-                                    if wave[j] > ii {
-                                        b.cancel();
-                                    }
-                                }
-                            }
-                            r
-                        };
-                        *slot = Some(match scope {
-                            Some(sc) => faultpoint::with_scope(sc, run),
-                            None => run(),
-                        });
-                    });
-                }
-                // ...while the coordinating thread runs the lowest one
-                // itself: it can never be cancelled, and keeping it here
-                // saves one spawn per wave.
-                bufs.stats = SearchStats::default();
-                let r = self.run_ii(wave[0], &mut overlay, &mut bufs, &budgets[0]);
-                if matches!(r, Ok(Some(_))) {
-                    best.fetch_min(wave[0], std::sync::atomic::Ordering::AcqRel);
-                    for (j, b) in budgets.iter().enumerate() {
-                        if wave[j] > wave[0] {
-                            b.cancel();
-                        }
-                    }
-                }
-                rung0[0] = Some(r);
-            });
-            let winner = best.load(std::sync::atomic::Ordering::Acquire);
-            let mut outcome: Option<Result<Mapping, MapError>> = None;
-            for (k, result) in results.into_iter().enumerate() {
-                let ii = wave[k];
-                let result = result.expect("speculative rung thread completed");
-                // An error on a rung above the wave's winning II is our
-                // own cancellation (or a racily-observed parent expiry
-                // the winner makes moot): count it, don't propagate.
-                let cancelled = ii > winner && result.is_err();
-                let stats = if k == 0 {
-                    &bufs.stats
-                } else {
-                    &pool[k - 1].1.stats
-                };
-                record_rung_attrs(&spans[k], ii, stats, &result, Some(cancelled));
-                if cancelled {
-                    cancelled_total += 1;
-                }
-                if outcome.is_none() && !cancelled {
-                    match result {
-                        Ok(Some(m)) => outcome = Some(Ok(m)),
-                        Ok(None) => {}
-                        Err(e) => outcome = Some(Err(e)),
-                    }
-                }
-            }
-            drop(spans);
-            match outcome {
-                Some(Ok(m)) => return Ok((m, cancelled_total)),
-                Some(Err(e)) => return Err(e),
-                None => {}
-            }
-            if spec == crate::config::Speculation::Auto {
-                let mut failed: Vec<SearchStats> = vec![bufs.stats];
-                failed.extend(pool[..wave.len() - 1].iter().map(|(_, b)| b.stats));
-                width = next_wave_width(width, &failed, self.dfg.len());
-            }
-            next_ii += wave.len() as u32;
-        }
-        Err(MapError::Infeasible { mii: start, max_ii })
-    }
-
     /// The RNG driving one II rung's randomized restarts.
     ///
     /// Each rung's random stream is derived from `(seed, ii)` alone —
     /// not threaded through from previous rungs — so the search at a
     /// given II is reproducible in isolation, independent of which
-    /// (and how many) lower rungs ran before it. That independence is
-    /// what lets the speculative ladder race rungs on separate threads
-    /// and still produce mappings bit-identical to the sequential walk.
+    /// (and how many) lower rungs ran before it.
     fn rung_rng(&self, ii: u32) -> StdRng {
         // splitmix64 finalizer over the seed offset by a golden-ratio
         // multiple of the II: cheap, and decorrelates adjacent rungs
@@ -748,15 +515,12 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-/// Writes one II rung's `ii_attempt` span attributes. `speculated` is
-/// `Some(cancelled)` on the speculative ladder and `None` on the
-/// sequential walk, whose spans stay exactly as they always were.
+/// Writes one II rung's `ii_attempt` span attributes.
 fn record_rung_attrs(
     span: &ptmap_trace::Span,
     ii: u32,
     stats: &SearchStats,
     result: &Result<Option<Mapping>, MapError>,
-    speculated: Option<bool>,
 ) {
     if !span.enabled() {
         return;
@@ -769,40 +533,8 @@ fn record_rung_attrs(
     span.attr("route_failures", stats.route_failures);
     span.attr("bfs_expansions", stats.bfs_expansions);
     span.attr("success", matches!(result, Ok(Some(_))));
-    if let Some(cancelled) = speculated {
-        span.attr("speculated", true);
-        span.attr("cancelled", cancelled);
-    }
     if let Err(e) = result {
         span.attr("error", format!("{e:?}"));
-    }
-}
-
-/// The adaptive wave-width policy ([`Speculation::Auto`]): widen while
-/// the wave that just failed was failing *expensively*.
-///
-/// A doomed-but-cheap rung backtracks after trying a handful of
-/// placements per restart; a rung that churns through several full
-/// passes over the DFG before giving up signals a congested II region
-/// where several more rungs are likely doomed too — racing wider
-/// amortizes them. The decision uses only the completed wave's
-/// [`SearchStats`] (no wall clock), so for a fixed seed the wave
-/// boundaries — and therefore the trace layout — are identical run to
-/// run on a given machine; the widening cap is additionally clamped
-/// to the core count, since rungs beyond it can only timeslice.
-/// Mappings are machine-independent either way: rung outcomes are
-/// pure in `(seed, ii)` and wave shape never feeds back into them.
-fn next_wave_width(width: u32, failed: &[SearchStats], dfg_nodes: usize) -> u32 {
-    use crate::config::{available_cores, Speculation};
-    let restarts: u64 = failed.iter().map(|s| s.restarts).sum::<u64>().max(1);
-    let tried: u64 = failed.iter().map(|s| s.placements_tried).sum();
-    let expensive = tried / restarts > 2 * dfg_nodes as u64;
-    if expensive {
-        (width * 2)
-            .min(Speculation::MAX_WIDTH)
-            .min(available_cores().max(2))
-    } else {
-        width.max(2)
     }
 }
 
@@ -1007,7 +739,13 @@ mod tests {
         let budget = ptmap_governor::Budget::cancellable();
         budget.cancel();
         assert_eq!(
-            crate::map_dfg_budgeted(&dfg, &presets::s4(), &MapperConfig::default(), &budget),
+            crate::map_dfg_traced(
+                &dfg,
+                &presets::s4(),
+                &MapperConfig::default(),
+                &budget,
+                &Tracer::disabled()
+            ),
             Err(MapError::Cancelled)
         );
     }
@@ -1019,7 +757,13 @@ mod tests {
         let dfg = build_dfg(&p, &nest, &[]).unwrap();
         let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::ZERO);
         assert_eq!(
-            crate::map_dfg_budgeted(&dfg, &presets::s4(), &MapperConfig::default(), &budget),
+            crate::map_dfg_traced(
+                &dfg,
+                &presets::s4(),
+                &MapperConfig::default(),
+                &budget,
+                &Tracer::disabled()
+            ),
             Err(MapError::Timeout)
         );
     }
@@ -1033,7 +777,13 @@ mod tests {
         let dfg = build_dfg(&p, &nest, &[]).unwrap();
         let budget = ptmap_governor::Budget::with_work_limit(2);
         assert_eq!(
-            crate::map_dfg_budgeted(&dfg, &presets::s4(), &MapperConfig::default(), &budget),
+            crate::map_dfg_traced(
+                &dfg,
+                &presets::s4(),
+                &MapperConfig::default(),
+                &budget,
+                &Tracer::disabled()
+            ),
             Err(MapError::Timeout)
         );
     }
@@ -1046,7 +796,8 @@ mod tests {
         let cfg = MapperConfig::default();
         let free = map_dfg(&dfg, &presets::s4(), &cfg).unwrap();
         let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::from_secs(3600));
-        let timed = crate::map_dfg_budgeted(&dfg, &presets::s4(), &cfg, &budget).unwrap();
+        let timed = crate::map_dfg_traced(&dfg, &presets::s4(), &cfg, &budget, &Tracer::disabled())
+            .unwrap();
         assert_eq!(free, timed);
     }
 
@@ -1113,11 +864,12 @@ mod tests {
         let nest = p.perfect_nests().remove(0);
         let dfg = build_dfg(&p, &nest, &[]).unwrap();
         let r = ptmap_governor::faultpoint::with_scope("fault-test", || {
-            crate::map_dfg_budgeted(
+            crate::map_dfg_traced(
                 &dfg,
                 &presets::s4(),
                 &MapperConfig::default(),
                 &ptmap_governor::Budget::unlimited(),
+                &Tracer::disabled(),
             )
         });
         assert_eq!(r, Err(MapError::Fault("mapper_place".to_string())));
@@ -1144,7 +896,7 @@ mod tests {
         let cfg = MapperConfig::default().with_effort(2);
         let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::from_millis(400));
         let m = ptmap_governor::faultpoint::with_scope("keep-best", || {
-            crate::map_dfg_budgeted(&dfg, &presets::s4(), &cfg, &budget)
+            crate::map_dfg_traced(&dfg, &presets::s4(), &cfg, &budget, &Tracer::disabled())
         })
         .expect("the mapping found before the deadline expired must be returned");
         assert_eq!(m.placements.len(), dfg.len());

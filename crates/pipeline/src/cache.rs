@@ -353,34 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_does_not_change_key() {
-        // Speculative II racing is an execution strategy, not a search
-        // semantic: fixed-seed mappings are bit-identical at any wave
-        // width, so `MapperConfig::speculation` is `#[serde(skip)]`ed
-        // and must never fragment the cache. A sequential compile's
-        // entry is a valid (and correct) hit for a speculated request,
-        // and vice versa. If this test fails, the field started
-        // serializing — that requires a SCHEMA_VERSION bump *and* a
-        // semantic justification, since results cannot differ.
-        use ptmap_mapper::Speculation;
-        let j = job("gemm:24", "S4");
-        let base = cache_key(&j, &PtMapConfig::default());
-        for spec in [
-            Speculation::Fixed(1),
-            Speculation::Fixed(4),
-            Speculation::Auto,
-        ] {
-            let mut cfg = PtMapConfig::default();
-            cfg.mapper.speculation = spec;
-            assert_eq!(
-                base,
-                cache_key(&j, &cfg),
-                "speculation {spec} fragmented the cache key"
-            );
-        }
-    }
-
-    #[test]
     fn disk_round_trip() {
         let dir = std::env::temp_dir().join(format!("ptmap-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -606,10 +606,6 @@ fn run_one_scoped(
         "portfolio_cancellations",
         stages.portfolio_cancellations as u64,
     );
-    recorder.incr(
-        "speculative_rungs_cancelled",
-        stages.speculative_rungs_cancelled as u64,
-    );
     let wall = t0.elapsed().as_secs_f64();
     recorder.add_seconds("job", wall);
     let (report, cache_hit, degraded, error, class) = match success {

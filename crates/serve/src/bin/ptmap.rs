@@ -5,14 +5,12 @@
 //!               [--predictor analytical|oracle] [--emit-contexts]
 //! ptmap batch   --manifest jobs.json [--jobs N] [--eval-workers N]
 //!               [--backend {heuristic|exact|portfolio}]
-//!               [--speculate {off|auto|WIDTH}]
 //!               [--cache-dir DIR] [--metrics out.json] [--out out.json]
 //!               [--trace-dir DIR [--trace-sample P] [--trace-slow-ms MS]]
 //! ptmap serve   [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!               [--max-inflight N] [--cache-dir DIR] [--deadline SECS]
 //!               [--drain-timeout SECS] [--max-retries N]
 //!               [--default-backend {heuristic|exact|portfolio}]
-//!               [--speculate {off|auto|WIDTH}]
 //!               [--trace-sample P] [--trace-slow-ms MS]
 //!               [--learn [--model-dir DIR] [--train-threshold N]
 //!                [--shadow-window N] [--promote-margin F]]
@@ -97,7 +95,6 @@ fn usage_text() -> &'static str {
      \x20         [--predictor {analytical|oracle}] [--emit-contexts]\n\
      \x20 batch   --manifest jobs.json [--jobs N] [--eval-workers N]\n\
      \x20         [--backend {heuristic|exact|portfolio}]\n\
-     \x20         [--speculate {off|auto|WIDTH}]\n\
      \x20         [--cache-dir DIR] [--metrics out.json] [--out out.json]\n\
      \x20         [--validate] [--deadline SECS] [--job-timeout SECS]\n\
      \x20         [--max-retries N]\n\
@@ -106,7 +103,6 @@ fn usage_text() -> &'static str {
      \x20         [--max-inflight N] [--cache-dir DIR] [--deadline SECS]\n\
      \x20         [--drain-timeout SECS] [--max-retries N]\n\
      \x20         [--default-backend {heuristic|exact|portfolio}]\n\
-     \x20         [--speculate {off|auto|WIDTH}]\n\
      \x20         [--trace-sample P] [--trace-slow-ms MS]\n\
      \x20         [--log-format {text|json}] [--log-level {debug|info|warn|error}]\n\
      \x20         [--learn [--model-dir DIR] [--train-threshold N]\n\
@@ -117,7 +113,7 @@ fn usage_text() -> &'static str {
      \x20         [--hedge-after-ms MS] [--cache-dir DIR]\n\
      \x20         [--deadline SECS] [--drain-timeout SECS]\n\
      \x20         [--default-backend {heuristic|exact|portfolio}]\n\
-     \x20         [--speculate {off|auto|WIDTH}] [--validate]\n\
+     \x20         [--validate]\n\
      \x20         [--trace-dir DIR]\n\
      \x20         [--log-format {text|json}] [--log-level {debug|info|warn|error}]\n\
      \x20 loadtest [--target HOST:PORT] [--workers N] [--requests N]\n\
@@ -290,7 +286,6 @@ fn batch(args: &[String]) -> ExitCode {
             "--jobs",
             "--eval-workers",
             "--backend",
-            "--speculate",
             "--cache-dir",
             "--metrics",
             "--out",
@@ -331,13 +326,6 @@ fn batch(args: &[String]) -> ExitCode {
         // the cache key: exact results never alias heuristic entries.
         if let Some(b) = parse_backend(flags.get("--backend"), "--backend")? {
             base.mapper.backend = b;
-        }
-        // Speculative II racing in the heuristic ladder. Deliberately
-        // NOT part of the cache key: fixed-seed mappings are
-        // bit-identical at any width, so cached entries stay shared
-        // across widths.
-        if let Some(sp) = parse_speculation(flags.get("--speculate"), "--speculate")? {
-            base.mapper.speculation = sp;
         }
         let budget = match parse_seconds(flags.get("--deadline"), "--deadline")? {
             Some(d) => ptmap_governor::Budget::with_deadline(d),
@@ -451,7 +439,6 @@ fn serve(args: &[String]) -> ExitCode {
             "--drain-timeout",
             "--max-retries",
             "--default-backend",
-            "--speculate",
             "--trace-sample",
             "--trace-slow-ms",
             "--log-format",
@@ -514,12 +501,6 @@ fn serve_config(flags: &Flags) -> Result<ptmap_serve::ServeConfig, String> {
     // request with the `X-Ptmap-Quality` header.
     if let Some(b) = parse_backend(flags.get("--default-backend"), "--default-backend")? {
         base.mapper.backend = b;
-    }
-    // Server-wide speculative II racing width. Not request-addressable
-    // (and not serialized), so it can never fragment the report cache
-    // or split coalesced flights.
-    if let Some(sp) = parse_speculation(flags.get("--speculate"), "--speculate")? {
-        base.mapper.speculation = sp;
     }
     Ok(ptmap_serve::ServeConfig {
         addr: flags
@@ -619,7 +600,6 @@ fn gateway(args: &[String]) -> ExitCode {
             "--deadline",
             "--drain-timeout",
             "--default-backend",
-            "--speculate",
             "--trace-dir",
             "--log-format",
             "--log-level",
@@ -692,9 +672,6 @@ fn gateway_config(flags: &Flags) -> Result<ptmap_serve::GatewayConfig, String> {
     base.mapper.validate = flags.has("--validate");
     if let Some(b) = parse_backend(flags.get("--default-backend"), "--default-backend")? {
         base.mapper.backend = b;
-    }
-    if let Some(sp) = parse_speculation(flags.get("--speculate"), "--speculate")? {
-        base.mapper.speculation = sp;
     }
     Ok(ptmap_serve::GatewayConfig {
         addr: flags
@@ -817,17 +794,6 @@ fn parse_backend(
     text: Option<&str>,
     flag: &str,
 ) -> Result<Option<ptmap_mapper::BackendKind>, String> {
-    match text {
-        None => Ok(None),
-        Some(t) => t.parse().map(Some).map_err(|e| format!("{flag}: {e}")),
-    }
-}
-
-/// Parses an optional speculation flag (`off` / `auto` / a wave width).
-fn parse_speculation(
-    text: Option<&str>,
-    flag: &str,
-) -> Result<Option<ptmap_mapper::Speculation>, String> {
     match text {
         None => Ok(None),
         Some(t) => t.parse().map(Some).map_err(|e| format!("{flag}: {e}")),

@@ -38,7 +38,7 @@ use crate::client::{self, ClientError, PeerResponse};
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::metrics::{render_http_sections, ServiceMetrics};
 use crate::server::{error_outcome, outcome_status};
-use crate::shard::{hash64, Breaker, BreakerState, HashRing};
+use crate::shard::{Breaker, BreakerState, HashRing};
 use crate::traces::TraceStore;
 use crate::{lock_unpoisoned, signal};
 use ptmap_core::PtMapConfig;
@@ -48,7 +48,7 @@ use ptmap_mapper::BackendKind;
 use ptmap_pipeline::{request_key, Job, JobOutcome, JobSpec, ReportCache};
 use ptmap_trace::obs::{EventLog, Level, LogFormat};
 use ptmap_trace::{
-    chrome_trace_json, next_trace_id, stitch, AttrValue, Span, Trace, Tracer, FORWARD_SPAN,
+    chrome_trace_json, hash64, next_trace_id, stitch, AttrValue, Span, Trace, Tracer, FORWARD_SPAN,
     WINNER_ATTR,
 };
 use serde_json::Value;

@@ -24,7 +24,7 @@
 
 use crate::client::{self, ClientError};
 use crate::metrics::Histogram;
-use crate::shard::hash64;
+use ptmap_trace::hash64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

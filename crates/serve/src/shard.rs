@@ -21,27 +21,13 @@
 //! peer is only *skipped* during replica selection — so its keys come
 //! straight back to it (cache intact) when it recovers.
 
+use ptmap_trace::hash64;
 use std::time::{Duration, Instant};
 
 /// Virtual nodes per peer. 64 keeps the per-peer share within a few
 /// percent of fair for small clusters while the ring stays tiny
 /// (N × 64 points).
 pub const VNODES: usize = 64;
-
-/// FNV-1a over bytes, finalized with a splitmix64 round so close
-/// inputs (`peer#1`, `peer#2`, ...) land far apart on the ring.
-pub(crate) fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // splitmix64 finalizer.
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
 
 /// A consistent-hash ring over a fixed peer list.
 ///

@@ -148,6 +148,14 @@ fn unrecognized_flag_is_usage_error() {
         assert!(err.contains("error:"), "{err}");
         assert!(err.contains("usage:"), "{err}");
     }
+    // A removed flag is as unrecognized as an invented one.
+    let out = ptmap()
+        .args(["batch", "--manifest", "does-not-matter.json"])
+        .args(["--speculate", "auto"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "batch --speculate must exit 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
 
 #[test]
@@ -211,6 +219,7 @@ fn serve_bad_flags_exit_two() {
         // And their values must parse.
         &["serve", "--learn", "--train-threshold", "zero"],
         &["serve", "--learn", "--promote-margin", "1.5"],
+        &["serve", "--speculate", "auto"],
     ];
     for args in cases {
         let out = ptmap().args(*args).output().unwrap();
@@ -234,6 +243,13 @@ fn gateway_bad_flags_exit_two() {
             "many",
         ],
         &["gateway", "--peers", "127.0.0.1:7100", "--frobnicate"],
+        &[
+            "gateway",
+            "--peers",
+            "127.0.0.1:7100",
+            "--speculate",
+            "auto",
+        ],
     ];
     for args in cases {
         let out = ptmap().args(*args).output().unwrap();

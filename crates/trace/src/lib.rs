@@ -227,36 +227,32 @@ impl Default for Tracer {
 
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// FNV-1a 64-bit hash: stable across processes and platforms.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// The workspace's 64-bit hash: FNV-1a over `bytes`, finalized with a
+/// splitmix64 round. Stable across processes and platforms. Raw FNV-1a
+/// is badly distributed in its high bits for short, similar inputs
+/// (`peer#1`, `peer#2`, sequential hex trace IDs); the finalizer spreads
+/// them over all 64 bits, so ring points, jitter, and sampling decisions
+/// can use any slice of the result.
+pub fn hash64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
-        h ^= b as u64;
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
-/// 64-bit finalizer (MurmurHash3 fmix64). Raw FNV-1a output is badly
-/// distributed in its high bits for short, similar inputs — sampling
-/// sequential hex trace IDs through it alone keeps ~0% instead of the
-/// requested fraction — so sampling decisions mix through this first.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
-
-/// Deterministic trace ID: FNV-1a of `name` mixed with a process-wide
-/// sequence counter, as 16 lowercase hex digits. No clock, no RNG.
+/// Deterministic trace ID: [`hash64`] of `name` mixed with a
+/// process-wide sequence counter, as 16 lowercase hex digits. No clock,
+/// no RNG.
 pub fn next_trace_id(name: &str) -> String {
     let seq = TRACE_SEQ.fetch_add(1, Ordering::Relaxed);
     format!(
         "{:016x}",
-        fnv1a(name.as_bytes()) ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        hash64(name.as_bytes()) ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     )
 }
 
@@ -450,8 +446,8 @@ impl SamplePolicy {
         if self.sample <= 0.0 {
             return false;
         }
-        // Uniform in [0, 1) from the top 53 bits of the mixed hash.
-        let unit = (mix64(fnv1a(trace_id.as_bytes())) >> 11) as f64 / (1u64 << 53) as f64;
+        // Uniform in [0, 1) from the top 53 bits of the hash.
+        let unit = (hash64(trace_id.as_bytes()) >> 11) as f64 / (1u64 << 53) as f64;
         unit < self.sample
     }
 
