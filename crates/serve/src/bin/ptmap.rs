@@ -7,19 +7,18 @@
 //!               [--backend {heuristic|exact|portfolio}]
 //!               [--cache-dir DIR] [--metrics out.json] [--out out.json]
 //!               [--trace-dir DIR [--trace-sample P] [--trace-slow-ms MS]]
-//! ptmap serve   [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!               [--max-inflight N] [--cache-dir DIR] [--deadline SECS]
-//!               [--drain-timeout SECS] [--max-retries N]
-//!               [--default-backend {heuristic|exact|portfolio}]
+//! ptmap serve   [SERVICE FLAGS] [--workers N] [--queue-cap N]
+//!               [--max-inflight N] [--cache-dir DIR] [--max-retries N]
 //!               [--trace-sample P] [--trace-slow-ms MS]
 //!               [--learn [--model-dir DIR] [--train-threshold N]
 //!                [--shadow-window N] [--promote-margin F]]
-//! ptmap gateway --peers HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
+//! ptmap gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]
 //!               [--probe-interval-ms MS] [--failure-threshold N]
-//!               [--cooldown-ms MS] [--max-retries N] [--backoff-ms MS]
-//!               [--hedge-after-ms MS] [--cache-dir DIR]
-//!               [--deadline SECS] [--drain-timeout SECS]
+//!               [--cooldown-ms MS] [--max-retries N] [--cache-dir DIR]
+//!   SERVICE FLAGS: [--addr HOST:PORT] [--deadline SECS]
+//!               [--drain-timeout SECS] [--validate]
 //!               [--default-backend {heuristic|exact|portfolio}]
+//!               [--log-format {text|json}] [--log-level LEVEL]
 //! ptmap loadtest [--target HOST:PORT] [--workers N] [--requests N]
 //!                [--seed N] [--distinct N] [--deadline-ms MS]
 //!                [--log-format {text|json}] [--log-level LEVEL]
@@ -33,6 +32,8 @@
 //! The GNN-assisted flow needs a trained model: `compile` ships the
 //! analytical and oracle predictors, while `batch` manifests may also
 //! reference checkpoints with `"predictor": "gnn:<model.json>"`.
+//! `serve` (the compile daemon) and `gateway` (its sharding front)
+//! share one set of service flags and one boot-and-drain path.
 
 use ptmap_arch::{presets, CgraArch};
 use ptmap_core::{PtMap, PtMapConfig};
@@ -41,6 +42,7 @@ use ptmap_ir::dfg::build_dfg;
 use ptmap_ir::parse::parse_program;
 use ptmap_mapper::{generate_contexts, map_dfg, MapperConfig};
 use ptmap_pipeline::{run_batch, BatchConfig, Manifest};
+use ptmap_serve::{Gateway, Server};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -49,8 +51,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("compile") => compile(&args[1..]),
         Some("batch") => batch(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("gateway") => gateway(&args[1..]),
+        Some("serve") => service(&args[1..], false),
+        Some("gateway") => service(&args[1..], true),
         Some("loadtest") => loadtest(&args[1..]),
         Some("parse") => parse(&args[1..]),
         Some("help" | "--help" | "-h") => {
@@ -99,22 +101,17 @@ fn usage_text() -> &'static str {
      \x20         [--validate] [--deadline SECS] [--job-timeout SECS]\n\
      \x20         [--max-retries N]\n\
      \x20         [--trace-dir DIR [--trace-sample P] [--trace-slow-ms MS]]\n\
-     \x20 serve   [--addr HOST:PORT] [--workers N] [--queue-cap N]\n\
-     \x20         [--max-inflight N] [--cache-dir DIR] [--deadline SECS]\n\
-     \x20         [--drain-timeout SECS] [--max-retries N]\n\
-     \x20         [--default-backend {heuristic|exact|portfolio}]\n\
+     \x20 serve   [SERVICE FLAGS] [--workers N] [--queue-cap N]\n\
+     \x20         [--max-inflight N] [--cache-dir DIR] [--max-retries N]\n\
      \x20         [--trace-sample P] [--trace-slow-ms MS]\n\
-     \x20         [--log-format {text|json}] [--log-level {debug|info|warn|error}]\n\
      \x20         [--learn [--model-dir DIR] [--train-threshold N]\n\
      \x20          [--shadow-window N] [--promote-margin F]]\n\
-     \x20 gateway --peers HOST:PORT,HOST:PORT,... [--addr HOST:PORT]\n\
+     \x20 gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]\n\
      \x20         [--probe-interval-ms MS] [--failure-threshold N]\n\
-     \x20         [--cooldown-ms MS] [--max-retries N] [--backoff-ms MS]\n\
-     \x20         [--hedge-after-ms MS] [--cache-dir DIR]\n\
-     \x20         [--deadline SECS] [--drain-timeout SECS]\n\
+     \x20         [--cooldown-ms MS] [--max-retries N] [--cache-dir DIR]\n\
+     \x20   SERVICE FLAGS: [--addr HOST:PORT] [--deadline SECS]\n\
+     \x20         [--drain-timeout SECS] [--validate]\n\
      \x20         [--default-backend {heuristic|exact|portfolio}]\n\
-     \x20         [--validate]\n\
-     \x20         [--trace-dir DIR]\n\
      \x20         [--log-format {text|json}] [--log-level {debug|info|warn|error}]\n\
      \x20 loadtest [--target HOST:PORT] [--workers N] [--requests N]\n\
      \x20         [--seed N] [--distinct N] [--deadline-ms MS]\n\
@@ -312,8 +309,8 @@ fn batch(args: &[String]) -> ExitCode {
         let path = flags.get("--manifest").ok_or("missing --manifest FILE")?;
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let jobs = Manifest::from_json(&text)?.resolve()?;
-        let workers = parse_count(flags.get("--jobs"), "--jobs")?;
-        let eval_workers = parse_count(flags.get("--eval-workers"), "--eval-workers")?;
+        let workers = parse_count(flags.get("--jobs"), "--jobs", 1)?;
+        let eval_workers = parse_count(flags.get("--eval-workers"), "--eval-workers", 1)?;
         let mut base = PtMapConfig {
             eval_workers,
             ..PtMapConfig::default()
@@ -338,12 +335,7 @@ fn batch(args: &[String]) -> ExitCode {
             base,
             job_timeout: parse_seconds(flags.get("--job-timeout"), "--job-timeout")?,
             budget,
-            max_retries: match flags.get("--max-retries") {
-                Some(t) => t.parse::<u32>().map_err(|_| {
-                    format!("--max-retries must be a non-negative integer, got {t}")
-                })?,
-                None => defaults.max_retries,
-            },
+            max_retries: parse_retries(&flags, defaults.max_retries)?,
             trace: match flags.get("--trace-dir") {
                 Some(dir) => Some(ptmap_pipeline::TraceSettings {
                     dir: Some(dir.into()),
@@ -426,117 +418,163 @@ fn batch(args: &[String]) -> ExitCode {
     }
 }
 
-fn serve(args: &[String]) -> ExitCode {
-    let flags = match Flags::parse(
-        args,
-        &[
-            "--addr",
-            "--workers",
-            "--queue-cap",
-            "--max-inflight",
-            "--cache-dir",
-            "--deadline",
-            "--drain-timeout",
-            "--max-retries",
-            "--default-backend",
-            "--trace-sample",
-            "--trace-slow-ms",
-            "--log-format",
-            "--log-level",
-            "--model-dir",
-            "--train-threshold",
-            "--shadow-window",
-            "--promote-margin",
-        ],
-        &["--validate", "--learn"],
-    ) {
+/// Value flags `serve` and `gateway` share.
+const SERVICE_FLAGS: [&str; 6] = [
+    "--addr",
+    "--deadline",
+    "--drain-timeout",
+    "--default-backend",
+    "--log-format",
+    "--log-level",
+];
+
+/// `ptmap serve` and `ptmap gateway`: parse the flags, bind, print the
+/// boot line, serve until SIGTERM/SIGINT, drain, exit 0.
+fn service(args: &[String], gateway: bool) -> ExitCode {
+    let (own, switches): (&[&str], &[&str]) = if gateway {
+        (
+            &[
+                "--peers",
+                "--probe-interval-ms",
+                "--failure-threshold",
+                "--cooldown-ms",
+                "--max-retries",
+                "--cache-dir",
+            ],
+            &["--validate"],
+        )
+    } else {
+        (
+            &[
+                "--workers",
+                "--queue-cap",
+                "--max-inflight",
+                "--cache-dir",
+                "--max-retries",
+                "--trace-sample",
+                "--trace-slow-ms",
+                "--model-dir",
+                "--train-threshold",
+                "--shadow-window",
+                "--promote-margin",
+            ],
+            &["--validate", "--learn"],
+        )
+    };
+    let flags = match Flags::parse(args, &[&SERVICE_FLAGS[..], own].concat(), switches) {
         Ok(f) => f,
         Err(e) => return usage_error(&e),
     };
-    let config = match serve_config(&flags) {
-        Ok(c) => c,
-        Err(e) => return usage_error(&e),
+    // Config errors are usage errors (exit 2) and are caught before
+    // anything binds.
+    let booted = if gateway {
+        gateway_config(&flags).map(|c| boot(Gateway::bind(c), Gateway::local_addr, Gateway::run))
+    } else {
+        serve_config(&flags).map(|c| boot(Server::bind(c), Server::local_addr, Server::run))
     };
-    let server = match ptmap_serve::Server::bind(config) {
-        Ok(s) => s,
+    booted.unwrap_or_else(|e| usage_error(&e))
+}
+
+/// Prints the boot line of a bound service and runs it to the end of
+/// its drain.
+fn boot<S, R>(
+    bound: std::io::Result<S>,
+    local_addr: fn(&S) -> std::io::Result<std::net::SocketAddr>,
+    run: fn(S) -> R,
+) -> ExitCode {
+    let (service, addr) = match bound.and_then(|s| Ok((local_addr(&s)?, s))) {
+        Ok((addr, s)) => (s, addr),
         Err(e) => {
             eprintln!("error: binding listener: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match server.local_addr() {
-        // The boot line is the contract with supervisors and tests:
-        // with `--addr ...:0` it is the only way to learn the port.
-        Ok(addr) => println!("listening on {addr}"),
-        Err(e) => {
-            eprintln!("error: local addr: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    // The boot line is the contract with supervisors and tests: with
+    // `--addr ...:0` it is the only way to learn the port.
+    println!("listening on {addr}");
     ptmap_serve::signal::install_handlers();
     // Bind installed the process-wide event log; a panic should dump
     // the flight recorder before the backtrace.
     ptmap_trace::obs::install_panic_hook();
-    let summary = server.run();
-    ptmap_trace::obs::logger().info(
-        "drained",
-        None,
-        if summary.clean { "" } else { "forced" },
-        &[
-            ("requests", summary.requests.into()),
-            ("compiles", summary.compiles.into()),
-            ("coalesced", summary.coalesced.into()),
-            ("clean", summary.clean.into()),
-        ],
-    );
+    run(service);
     ExitCode::SUCCESS
+}
+
+/// The settings both services take from [`SERVICE_FLAGS`] and
+/// `--validate`.
+struct Shared {
+    addr: String,
+    base: PtMapConfig,
+    default_timeout: std::time::Duration,
+    drain_timeout: std::time::Duration,
+    log_level: ptmap_trace::obs::Level,
+    log_format: ptmap_trace::obs::LogFormat,
+}
+
+/// Parses the shared service flags over the service's own defaults.
+fn shared(
+    flags: &Flags,
+    addr: &str,
+    default_timeout: std::time::Duration,
+    drain_timeout: std::time::Duration,
+) -> Result<Shared, String> {
+    // The gateway computes request keys under the same base config, so
+    // its flags must match the peers' or routing and caches disagree.
+    let mut base = PtMapConfig::default();
+    base.mapper.validate = flags.has("--validate");
+    // Service-wide default quality tier; clients may override it per
+    // request with the `X-Ptmap-Quality` header.
+    if let Some(b) = parse_backend(flags.get("--default-backend"), "--default-backend")? {
+        base.mapper.backend = b;
+    }
+    Ok(Shared {
+        addr: flags.get("--addr").unwrap_or(addr).to_string(),
+        base,
+        default_timeout: parse_seconds(flags.get("--deadline"), "--deadline")?
+            .unwrap_or(default_timeout),
+        drain_timeout: parse_seconds(flags.get("--drain-timeout"), "--drain-timeout")?
+            .unwrap_or(drain_timeout),
+        log_level: parse_log_level(flags.get("--log-level"))?,
+        log_format: parse_log_format(flags.get("--log-format"))?,
+    })
+}
+
+/// Parses `--max-retries`, falling back to `default`.
+fn parse_retries(flags: &Flags, default: u32) -> Result<u32, String> {
+    match flags.get("--max-retries") {
+        Some(t) => t
+            .parse::<u32>()
+            .map_err(|_| format!("--max-retries must be a non-negative integer, got {t}")),
+        None => Ok(default),
+    }
 }
 
 /// Builds the daemon configuration from `serve` flags.
 fn serve_config(flags: &Flags) -> Result<ptmap_serve::ServeConfig, String> {
     let defaults = ptmap_serve::ServeConfig::default();
-    let mut base = PtMapConfig::default();
-    base.mapper.validate = flags.has("--validate");
-    // Server-wide default quality tier; clients may override per
-    // request with the `X-Ptmap-Quality` header.
-    if let Some(b) = parse_backend(flags.get("--default-backend"), "--default-backend")? {
-        base.mapper.backend = b;
-    }
+    let shared = shared(
+        flags,
+        &defaults.addr,
+        defaults.default_timeout,
+        defaults.drain_timeout,
+    )?;
+    let count = |flag: &str, default: usize| parse_count(flags.get(flag), flag, default);
     Ok(ptmap_serve::ServeConfig {
-        addr: flags
-            .get("--addr")
-            .unwrap_or(defaults.addr.as_str())
-            .to_string(),
-        workers: match flags.get("--workers") {
-            Some(_) => parse_count(flags.get("--workers"), "--workers")?,
-            None => defaults.workers,
-        },
-        queue_cap: match flags.get("--queue-cap") {
-            Some(_) => parse_count(flags.get("--queue-cap"), "--queue-cap")?,
-            None => defaults.queue_cap,
-        },
-        max_inflight: match flags.get("--max-inflight") {
-            Some(_) => parse_count(flags.get("--max-inflight"), "--max-inflight")?,
-            None => defaults.max_inflight,
-        },
+        addr: shared.addr,
+        workers: count("--workers", defaults.workers)?,
+        queue_cap: count("--queue-cap", defaults.queue_cap)?,
+        max_inflight: count("--max-inflight", defaults.max_inflight)?,
         cache_dir: flags.get("--cache-dir").map(Into::into),
-        base,
-        max_retries: match flags.get("--max-retries") {
-            Some(t) => t
-                .parse::<u32>()
-                .map_err(|_| format!("--max-retries must be a non-negative integer, got {t}"))?,
-            None => defaults.max_retries,
-        },
-        default_timeout: parse_seconds(flags.get("--deadline"), "--deadline")?
-            .unwrap_or(defaults.default_timeout),
-        drain_timeout: parse_seconds(flags.get("--drain-timeout"), "--drain-timeout")?
-            .unwrap_or(defaults.drain_timeout),
+        base: shared.base,
+        max_retries: parse_retries(flags, defaults.max_retries)?,
+        default_timeout: shared.default_timeout,
+        drain_timeout: shared.drain_timeout,
         trace_sample: parse_sample(flags.get("--trace-sample"), "--trace-sample")?
             .unwrap_or(defaults.trace_sample),
         trace_slow_ms: parse_ms(flags.get("--trace-slow-ms"), "--trace-slow-ms")?,
         learn: learn_config(flags)?,
-        log_level: parse_log_level(flags.get("--log-level"))?,
-        log_format: parse_log_format(flags.get("--log-format"))?,
+        log_level: shared.log_level,
+        log_format: shared.log_format,
     })
 }
 
@@ -561,14 +599,16 @@ fn learn_config(flags: &Flags) -> Result<Option<ptmap_learn::LearnConfig>, Strin
     let defaults = ptmap_learn::LearnConfig::default();
     Ok(Some(ptmap_learn::LearnConfig {
         model_dir: flags.get("--model-dir").map(Into::into),
-        train_threshold: match flags.get("--train-threshold") {
-            Some(_) => parse_count(flags.get("--train-threshold"), "--train-threshold")?,
-            None => defaults.train_threshold,
-        },
-        shadow_window: match flags.get("--shadow-window") {
-            Some(_) => parse_count(flags.get("--shadow-window"), "--shadow-window")?,
-            None => defaults.shadow_window,
-        },
+        train_threshold: parse_count(
+            flags.get("--train-threshold"),
+            "--train-threshold",
+            defaults.train_threshold,
+        )?,
+        shadow_window: parse_count(
+            flags.get("--shadow-window"),
+            "--shadow-window",
+            defaults.shadow_window,
+        )?,
         promote_margin: match flags.get("--promote-margin") {
             Some(t) => match t.parse::<f64>() {
                 Ok(m) if (0.0..1.0).contains(&m) => m,
@@ -582,70 +622,6 @@ fn learn_config(flags: &Flags) -> Result<Option<ptmap_learn::LearnConfig>, Strin
         },
         ..defaults
     }))
-}
-
-fn gateway(args: &[String]) -> ExitCode {
-    let flags = match Flags::parse(
-        args,
-        &[
-            "--addr",
-            "--peers",
-            "--probe-interval-ms",
-            "--failure-threshold",
-            "--cooldown-ms",
-            "--max-retries",
-            "--backoff-ms",
-            "--hedge-after-ms",
-            "--cache-dir",
-            "--deadline",
-            "--drain-timeout",
-            "--default-backend",
-            "--trace-dir",
-            "--log-format",
-            "--log-level",
-        ],
-        &["--validate"],
-    ) {
-        Ok(f) => f,
-        Err(e) => return usage_error(&e),
-    };
-    let config = match gateway_config(&flags) {
-        Ok(c) => c,
-        Err(e) => return usage_error(&e),
-    };
-    let gateway = match ptmap_serve::Gateway::bind(config) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: binding listener: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match gateway.local_addr() {
-        // Same boot-line contract as `serve`: with `--addr ...:0` this
-        // line is the only way to learn the port.
-        Ok(addr) => println!("listening on {addr}"),
-        Err(e) => {
-            eprintln!("error: local addr: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ptmap_serve::signal::install_handlers();
-    ptmap_trace::obs::install_panic_hook();
-    let summary = gateway.run();
-    ptmap_trace::obs::logger().info(
-        "drained",
-        None,
-        if summary.clean { "" } else { "forced" },
-        &[
-            ("requests", summary.requests.into()),
-            ("forwards", summary.forwards.into()),
-            ("retries", summary.retries.into()),
-            ("hedges", summary.hedges.into()),
-            ("requeued", summary.requeued.into()),
-            ("clean", summary.clean.into()),
-        ],
-    );
-    ExitCode::SUCCESS
 }
 
 /// Builds the gateway configuration from `gateway` flags.
@@ -666,18 +642,14 @@ fn gateway_config(flags: &Flags) -> Result<ptmap_serve::GatewayConfig, String> {
     if peers.is_empty() {
         return Err("--peers needs at least one HOST:PORT".to_string());
     }
-    // The base config exists only to compute request keys; it must
-    // match the peers' flags or routing and their caches disagree.
-    let mut base = PtMapConfig::default();
-    base.mapper.validate = flags.has("--validate");
-    if let Some(b) = parse_backend(flags.get("--default-backend"), "--default-backend")? {
-        base.mapper.backend = b;
-    }
+    let shared = shared(
+        flags,
+        &defaults.addr,
+        defaults.default_timeout,
+        defaults.drain_timeout,
+    )?;
     Ok(ptmap_serve::GatewayConfig {
-        addr: flags
-            .get("--addr")
-            .unwrap_or(defaults.addr.as_str())
-            .to_string(),
+        addr: shared.addr,
         peers,
         probe_interval: parse_ms(flags.get("--probe-interval-ms"), "--probe-interval-ms")?
             .map(std::time::Duration::from_millis)
@@ -691,26 +663,13 @@ fn gateway_config(flags: &Flags) -> Result<ptmap_serve::GatewayConfig, String> {
         cooldown: parse_ms(flags.get("--cooldown-ms"), "--cooldown-ms")?
             .map(std::time::Duration::from_millis)
             .unwrap_or(defaults.cooldown),
-        max_retries: match flags.get("--max-retries") {
-            Some(t) => t
-                .parse::<u32>()
-                .map_err(|_| format!("--max-retries must be a non-negative integer, got {t}"))?,
-            None => defaults.max_retries,
-        },
-        backoff_base: parse_ms(flags.get("--backoff-ms"), "--backoff-ms")?
-            .map(std::time::Duration::from_millis)
-            .unwrap_or(defaults.backoff_base),
-        hedge_after: parse_ms(flags.get("--hedge-after-ms"), "--hedge-after-ms")?
-            .map(std::time::Duration::from_millis),
+        max_retries: parse_retries(flags, defaults.max_retries)?,
         cache_dir: flags.get("--cache-dir").map(Into::into),
-        base,
-        default_timeout: parse_seconds(flags.get("--deadline"), "--deadline")?
-            .unwrap_or(defaults.default_timeout),
-        drain_timeout: parse_seconds(flags.get("--drain-timeout"), "--drain-timeout")?
-            .unwrap_or(defaults.drain_timeout),
-        trace_dir: flags.get("--trace-dir").map(Into::into),
-        log_level: parse_log_level(flags.get("--log-level"))?,
-        log_format: parse_log_format(flags.get("--log-format"))?,
+        base: shared.base,
+        default_timeout: shared.default_timeout,
+        drain_timeout: shared.drain_timeout,
+        log_level: shared.log_level,
+        log_format: shared.log_format,
     })
 }
 
@@ -774,10 +733,7 @@ fn loadtest_config(flags: &Flags) -> Result<ptmap_serve::LoadtestConfig, String>
             .get("--target")
             .unwrap_or(defaults.target.as_str())
             .to_string(),
-        workers: match flags.get("--workers") {
-            Some(_) => parse_count(flags.get("--workers"), "--workers")?,
-            None => defaults.workers,
-        },
+        workers: parse_count(flags.get("--workers"), "--workers", defaults.workers)?,
         requests: parse_u64("--requests", defaults.requests)?,
         seed: parse_u64("--seed", defaults.seed)?,
         distinct: parse_u64("--distinct", defaults.distinct)?.max(1),
@@ -843,9 +799,10 @@ fn parse_ms(text: Option<&str>, flag: &str) -> Result<Option<u64>, String> {
     }
 }
 
-fn parse_count(text: Option<&str>, flag: &str) -> Result<usize, String> {
+/// Parses an optional positive-integer flag, `default` when absent.
+fn parse_count(text: Option<&str>, flag: &str, default: usize) -> Result<usize, String> {
     match text {
-        None => Ok(1),
+        None => Ok(default),
         Some(t) => match t.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
             _ => Err(format!("{flag} must be a positive integer, got {t}")),

@@ -1,8 +1,9 @@
 //! The sharding gateway: one HTTP front for a cluster of daemons.
 //!
-//! `ptmap gateway` binds a [`Server`](crate::Server)-shaped accept loop
-//! but compiles nothing itself. Every `POST /compile` / `POST /jobs` is
-//! routed by its pipeline [`request_key`] over a consistent-hash
+//! `ptmap gateway` runs on the daemon's `service` (`service.rs`)
+//! skeleton but compiles nothing itself. Every `POST /compile` /
+//! `POST /jobs` is routed by its pipeline
+//! [`request_key`](ptmap_pipeline::request_key) over a consistent-hash
 //! [`HashRing`] of backend daemons, so one kernel always lands on the
 //! same peer and that peer's report cache stays hot. Around that core
 //! routing decision the gateway layers the cluster's failure handling:
@@ -14,18 +15,15 @@
 //!   changes, so a recovered peer gets its keys (and cache) back.
 //! * **Retry with backoff** — connect/transport failures and peer
 //!   `503`s reshard to the next replica in the key's failover sequence
-//!   after an exponential backoff with deterministic jitter, all under
-//!   the request's governor [`Budget`]; the deadline bounds the whole
-//!   forward including every retry.
+//!   after an exponential backoff (25 ms base) with deterministic
+//!   jitter, all under the request's governor [`Budget`]; the deadline
+//!   bounds the whole forward including every retry.
 //! * **Deadline & trace propagation** — every hop re-derives
 //!   `X-Ptmap-Deadline-Ms` from the *remaining* budget and carries the
 //!   client's `X-Ptmap-Trace-Id` through, so a trace spans the cluster.
-//! * **Hedged requests** — optionally, a sync compile still unanswered
-//!   after `hedge_after` starts a second forward against the next
-//!   replica; first response wins.
 //! * **Shared cache tier** — with `--cache-dir`, a compile whose key is
-//!   already in the gateway's [`ReportCache`] is answered locally;
-//!   forwarded successes populate it.
+//!   already in the gateway's [`ReportCache`] is answered locally,
+//!   without the hop to a daemon; forwarded successes populate it.
 //! * **Async job continuity** — the gateway keeps each submitted job's
 //!   raw spec; polling a job whose owner died resubmits it to the next
 //!   live replica instead of surfacing the loss.
@@ -35,18 +33,19 @@
 //! introspection endpoint.
 
 use crate::client::{self, ClientError, PeerResponse};
-use crate::http::{read_request, write_response, HttpError, Request, Response};
-use crate::metrics::{render_http_sections, ServiceMetrics};
-use crate::server::{error_outcome, outcome_status};
+use crate::http::{Request, Response};
+use crate::lock_unpoisoned;
+use crate::metrics::render_http_sections;
+use crate::service::{
+    error_outcome, error_response, outcome_response, with_retry_after, Core, Service, ServiceHandle,
+};
 use crate::shard::{Breaker, BreakerState, HashRing};
 use crate::traces::TraceStore;
-use crate::{lock_unpoisoned, signal};
 use ptmap_core::PtMapConfig;
-use ptmap_governor::faultpoint::{fail_point, sites, with_scope};
-use ptmap_governor::Budget;
-use ptmap_mapper::BackendKind;
-use ptmap_pipeline::{request_key, Job, JobOutcome, JobSpec, ReportCache};
-use ptmap_trace::obs::{EventLog, Level, LogFormat};
+use ptmap_governor::faultpoint::{fail_point, with_scope};
+use ptmap_governor::{faultpoint::sites, Budget};
+use ptmap_pipeline::{JobOutcome, ReportCache};
+use ptmap_trace::obs::{Level, LogFormat};
 use ptmap_trace::{
     chrome_trace_json, hash64, next_trace_id, stitch, AttrValue, Span, Trace, Tracer, FORWARD_SPAN,
     WINNER_ATTR,
@@ -54,17 +53,19 @@ use ptmap_trace::{
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Deadline for one health probe or metrics scrape of a peer.
 const PROBE_DEADLINE: Duration = Duration::from_millis(750);
 /// Deadline for forwarding one async-job poll.
 const POLL_DEADLINE: Duration = Duration::from_secs(10);
+/// First retry backoff step; doubles per retry, plus deterministic
+/// jitter below one step.
+const BACKOFF: Duration = Duration::from_millis(25);
 
 /// How the gateway is configured (flags + defaults).
 #[derive(Debug, Clone)]
@@ -83,12 +84,6 @@ pub struct GatewayConfig {
     /// Extra forward attempts after the first (resharded to the next
     /// replica each time).
     pub max_retries: u32,
-    /// First backoff step; doubles per retry, plus deterministic
-    /// jitter.
-    pub backoff_base: Duration,
-    /// Start a second (hedged) forward for a sync compile still
-    /// unanswered after this long. `None` disables hedging.
-    pub hedge_after: Option<Duration>,
     /// Shared report-cache directory consulted before forwarding
     /// (`None` = no gateway cache tier).
     pub cache_dir: Option<PathBuf>,
@@ -100,10 +95,6 @@ pub struct GatewayConfig {
     pub default_timeout: Duration,
     /// How long drain waits for in-flight forwards.
     pub drain_timeout: Duration,
-    /// Directory where stitched cluster traces for sync compiles are
-    /// exported as `<trace-id>.json` Chrome trace-event documents
-    /// (`None` = no export; `GET /jobs/<id>/trace` still works).
-    pub trace_dir: Option<PathBuf>,
     /// Minimum severity the structured event log records.
     pub log_level: Level,
     /// How event-log lines are rendered on stderr (the `/debug/events`
@@ -120,13 +111,10 @@ impl Default for GatewayConfig {
             failure_threshold: 3,
             cooldown: Duration::from_secs(2),
             max_retries: 3,
-            backoff_base: Duration::from_millis(25),
-            hedge_after: None,
             cache_dir: None,
             base: PtMapConfig::default(),
             default_timeout: Duration::from_secs(300),
             drain_timeout: Duration::from_secs(20),
-            trace_dir: None,
             log_level: Level::Info,
             log_format: LogFormat::Text,
         }
@@ -142,8 +130,6 @@ pub struct GatewaySummary {
     pub forwards: u64,
     /// Forward attempts that were retries.
     pub retries: u64,
-    /// Hedged forwards started.
-    pub hedges: u64,
     /// Async jobs resubmitted after their owner died.
     pub requeued: u64,
     /// Whether everything in flight finished inside the drain timeout.
@@ -195,34 +181,32 @@ impl GwJob {
 
 /// Everything the gateway's handler threads share.
 struct GatewayState {
+    core: Core,
     config: GatewayConfig,
     ring: HashRing,
     peers: Vec<Peer>,
     cache: Option<ReportCache>,
-    metrics: ServiceMetrics,
     /// Finished gateway-side span trees, ready for stitching.
     traces: TraceStore,
-    /// Structured event log; also the `/debug/events` flight recorder.
-    log: Arc<EventLog>,
     /// (peer index, new state name) → transition count.
     transitions: Mutex<BTreeMap<(usize, &'static str), u64>>,
     /// Gateway job id → tracked job.
     jobs: Mutex<BTreeMap<u64, GwJob>>,
     next_job_id: AtomicU64,
     retries: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
     requeued: AtomicU64,
     shared_cache_hits: AtomicU64,
-    root: Budget,
-    stop: AtomicBool,
-    draining: AtomicBool,
-    conns: Mutex<usize>,
-    conns_cv: Condvar,
-    requests: AtomicU64,
 }
 
 impl GatewayState {
+    /// Forward attempts answered, over all peers.
+    fn forwards(&self) -> u64 {
+        self.peers
+            .iter()
+            .map(|p| p.forwards.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Records a breaker transition for `/metrics`, `/cluster`, and
     /// the event log.
     fn note_transition(&self, peer: usize, change: Option<(BreakerState, BreakerState)>) {
@@ -230,7 +214,7 @@ impl GatewayState {
             *lock_unpoisoned(&self.transitions)
                 .entry((peer, to.name()))
                 .or_default() += 1;
-            self.log.info(
+            self.core.log.info(
                 "breaker_transition",
                 None,
                 "",
@@ -241,6 +225,19 @@ impl GatewayState {
                 ],
             );
         }
+    }
+
+    /// Feeds one success or failure of peer `idx` to its breaker.
+    fn record(&self, idx: usize, ok: bool) {
+        let now = Instant::now();
+        let mut breaker = lock_unpoisoned(&self.peers[idx].breaker);
+        let change = if ok {
+            breaker.record_success(now)
+        } else {
+            breaker.record_failure(now)
+        };
+        drop(breaker);
+        self.note_transition(idx, change);
     }
 
     /// Peer indices whose breaker admits traffic right now.
@@ -271,42 +268,10 @@ impl GatewayState {
     }
 }
 
-/// A shutdown/introspection handle (tests and the binary's wiring).
-#[derive(Clone)]
-pub struct GatewayHandle {
-    state: Arc<GatewayState>,
-}
-
-impl GatewayHandle {
-    /// Requests a graceful drain, as if SIGTERM arrived.
-    pub fn shutdown(&self) {
-        self.state.stop.store(true, Ordering::Release);
-    }
-
-    /// Rendered `/metrics` document without the cluster rollup (test
-    /// convenience; no network).
-    pub fn metrics_text(&self) -> String {
-        render_gateway_metrics(&self.state, false)
-    }
-}
-
 /// The bound, not-yet-running gateway.
 pub struct Gateway {
     listener: TcpListener,
     state: Arc<GatewayState>,
-}
-
-/// Decrements the open-connection count when a handler exits.
-struct ConnGuard {
-    state: Arc<GatewayState>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let mut conns = lock_unpoisoned(&self.state.conns);
-        *conns = conns.saturating_sub(1);
-        self.state.conns_cv.notify_all();
-    }
 }
 
 impl Gateway {
@@ -319,16 +284,13 @@ impl Gateway {
                 "gateway needs at least one --peer",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        // Pin the start-time gauge's value before serving anything.
-        crate::metrics::process_start_seconds();
-        let log = Arc::new(EventLog::new(
+        let (listener, core) = Core::bind(
             "gateway",
+            &config.addr,
             config.log_level,
             config.log_format,
-        ));
-        ptmap_trace::obs::install(Arc::clone(&log));
+            config.drain_timeout,
+        )?;
         let ring = HashRing::new(&config.peers);
         let peers = ring
             .peers()
@@ -344,7 +306,7 @@ impl Gateway {
             .collect();
         let cache = config.cache_dir.as_ref().map(|dir| {
             ReportCache::with_dir(dir).unwrap_or_else(|e| {
-                log.warn(
+                core.log.warn(
                     "cache_dir_fallback",
                     None,
                     &format!("cache dir {}: {e}; falling back to memory", dir.display()),
@@ -354,26 +316,17 @@ impl Gateway {
             })
         });
         let state = Arc::new(GatewayState {
+            core,
             ring,
             peers,
             cache,
-            metrics: ServiceMetrics::new(),
             traces: TraceStore::new(),
-            log,
             transitions: Mutex::new(BTreeMap::new()),
             jobs: Mutex::new(BTreeMap::new()),
             next_job_id: AtomicU64::new(1),
             retries: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
             requeued: AtomicU64::new(0),
             shared_cache_hits: AtomicU64::new(0),
-            root: Budget::cancellable(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            conns: Mutex::new(0),
-            conns_cv: Condvar::new(),
-            requests: AtomicU64::new(0),
             config,
         });
         Ok(Gateway { listener, state })
@@ -385,13 +338,11 @@ impl Gateway {
     }
 
     /// A shutdown/introspection handle usable from another thread.
-    pub fn handle(&self) -> GatewayHandle {
-        GatewayHandle {
-            state: Arc::clone(&self.state),
-        }
+    pub fn handle(&self) -> ServiceHandle {
+        ServiceHandle::new(&self.state)
     }
 
-    /// Serves until SIGTERM/SIGINT (or [`GatewayHandle::shutdown`]),
+    /// Serves until SIGTERM/SIGINT (or [`ServiceHandle::shutdown`]),
     /// then drains and returns the lifetime summary.
     pub fn run(self) -> GatewaySummary {
         let state = Arc::clone(&self.state);
@@ -404,7 +355,7 @@ impl Gateway {
             std::thread::Builder::new()
                 .name("ptmap-probe".to_string())
                 .spawn(move || {
-                    while !state.stop.load(Ordering::Acquire) && !signal::shutdown_requested() {
+                    while !state.core.stopping() {
                         for idx in 0..state.peers.len() {
                             probe_peer(&state, idx);
                         }
@@ -414,110 +365,373 @@ impl Gateway {
                 .expect("spawn prober")
         };
 
-        loop {
-            if state.stop.load(Ordering::Acquire) || signal::shutdown_requested() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    *lock_unpoisoned(&state.conns) += 1;
-                    let state = Arc::clone(&state);
-                    let _ = std::thread::Builder::new()
-                        .name("ptmap-gw-conn".to_string())
-                        .spawn(move || {
-                            let _guard = ConnGuard {
-                                state: Arc::clone(&state),
-                            };
-                            handle_connection(&state, stream);
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    state.log.warn(
-                        "accept_error",
-                        None,
-                        &format!("accept: {e}; continuing"),
-                        &[],
-                    );
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
-
-        // Drain: stop accepting, let in-flight forwards finish, then
-        // cancel stragglers through the root budget.
-        drop(self.listener);
-        state.draining.store(true, Ordering::Release);
-        let deadline = Instant::now() + state.config.drain_timeout;
-        let mut clean = wait_idle(&state, deadline);
-        if !clean {
-            state.log.warn(
-                "drain_timeout",
-                None,
-                "drain timeout elapsed; cancelling in-flight forwards",
-                &[("timeout_s", state.config.drain_timeout.as_secs().into())],
-            );
-            state.root.cancel();
-            clean = wait_idle(&state, Instant::now() + Duration::from_secs(10));
-        }
-        let _ = prober.join();
-
-        for (endpoint, count, p50, p95, p99) in state.metrics.latency_quantiles() {
-            state.log.info(
-                "latency",
-                None,
-                "",
-                &[
-                    ("endpoint", AttrValue::Str(endpoint)),
-                    ("count", count.into()),
-                    ("p50_s", p50.into()),
-                    ("p95_s", p95.into()),
-                    ("p99_s", p99.into()),
-                ],
-            );
-        }
-        state.log.dump_to_stderr("drain");
-        eprintln!(
-            "--- final metrics ---\n{}",
-            render_gateway_metrics(&state, false)
-        );
-
+        let clean = crate::service::serve(self.listener, Arc::clone(&state), || {
+            let _ = prober.join();
+        });
         GatewaySummary {
-            requests: state.metrics.requests_total(),
-            forwards: state
-                .peers
-                .iter()
-                .map(|p| p.forwards.load(Ordering::Relaxed))
-                .sum(),
+            requests: state.core.metrics.requests_total(),
+            forwards: state.forwards(),
             retries: state.retries.load(Ordering::Relaxed),
-            hedges: state.hedges.load(Ordering::Relaxed),
             requeued: state.requeued.load(Ordering::Relaxed),
             clean,
         }
     }
 }
 
-/// Waits until no connection is open, or `deadline` passes.
-fn wait_idle(state: &GatewayState, deadline: Instant) -> bool {
-    let mut conns = lock_unpoisoned(&state.conns);
-    loop {
-        if *conns == 0 {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        let wait = (deadline - now).min(Duration::from_millis(50));
-        conns = state
-            .conns_cv
-            .wait_timeout(conns, wait)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
+impl Service for GatewayState {
+    fn core(&self) -> &Core {
+        &self.core
     }
+
+    /// `POST /compile`: cache tier, then a forward. The whole hop records a
+    /// gateway-side span tree under the client's trace id (or a freshly
+    /// minted one), which is retained for stitching with the daemon's
+    /// compile tree.
+    fn compile(&self, request: &Request, _stream: &TcpStream) -> Response {
+        if self.core.draining() {
+            return draining_response(self);
+        }
+        let (trace_id, tracer) = gateway_tracer(request);
+        let response = {
+            let root = tracer.span("gateway");
+            root.attr("endpoint", "compile");
+            compile_via_cluster(self, request, &root, &trace_id)
+        };
+        if let Some(trace) = tracer.finish() {
+            self.traces.insert(trace);
+        }
+        // Error paths carry no daemon-set trace-id header; stamp ours so
+        // the client can still fetch the gateway-side trace.
+        if response
+            .headers
+            .iter()
+            .any(|(n, _)| n.eq_ignore_ascii_case("x-ptmap-trace-id"))
+        {
+            response
+        } else {
+            response.with_header("X-Ptmap-Trace-Id", trace_id)
+        }
+    }
+
+    /// `POST /jobs`: forward to the key's owner, track the mapping. The
+    /// gateway-side span tree stays open for the job's tracked lifetime,
+    /// so later requeues land inside it.
+    fn submit(&self, request: &Request) -> Response {
+        if self.core.draining() {
+            return draining_response(self);
+        }
+        let (trace_id, tracer) = gateway_tracer(request);
+        let root = tracer.span("gateway");
+        root.attr("endpoint", "jobs_submit");
+        let admission = root.tracer().span("admission");
+        // A submission only has to reach the owner's queue: its hop budget
+        // is the poll deadline at most.
+        let default_timeout = self.config.default_timeout.min(POLL_DEADLINE);
+        let parsed = self
+            .core
+            .parse_job(request, &self.config.base, default_timeout);
+        let (name, key, budget) = match parsed {
+            Ok(r) => (r.job.name, r.key, r.budget),
+            Err(resp) => return resp,
+        };
+        drop(admission);
+        let headers = hop_headers(request);
+        let (resp, idx) = match forward_with_retries(
+            self,
+            &key,
+            "POST",
+            "/jobs",
+            &headers,
+            &request.body,
+            &budget,
+            root.tracer(),
+        ) {
+            Ok(v) => v,
+            Err(err) => return forward_error_response(self, &name, err, Some(&trace_id)),
+        };
+        if resp.status != 202 {
+            return relay(self, resp, idx);
+        }
+        let Some(remote_id) = parse_job_id(&resp.body) else {
+            let message = format!(
+                "peer {} answered 202 without a job id",
+                self.peers[idx].addr
+            );
+            return error_response(502, &message);
+        };
+        let gid = self.next_job_id.fetch_add(1, Ordering::Relaxed);
+        root.attr("job_id", gid);
+        root.attr("peer", self.peers[idx].addr.as_str());
+        self.core.log.info(
+            "job_submitted",
+            Some(&trace_id),
+            "",
+            &[
+                ("job", gid.into()),
+                ("name", name.into()),
+                ("peer", AttrValue::Str(self.peers[idx].addr.clone())),
+            ],
+        );
+        lock_unpoisoned(&self.jobs).insert(
+            gid,
+            GwJob {
+                body: request.body.clone(),
+                quality: request.header("x-ptmap-quality").map(str::to_string),
+                key,
+                peer: idx,
+                remote_id,
+                done: None,
+                span: Arc::new(root),
+            },
+        );
+        Response::json(
+            202,
+            format!(
+                "{{\"id\":{gid},\"state\":\"queued\",\"peer\":{:?}}}",
+                self.peers[idx].addr
+            ),
+        )
+        .with_header("X-Ptmap-Peer", self.peers[idx].addr.clone())
+        .with_header("X-Ptmap-Trace-Id", trace_id)
+    }
+
+    /// `GET /jobs/<id>`: poll through to the owner, requeue if it died.
+    fn poll(&self, gid: u64) -> Response {
+        let Some(job) = lock_unpoisoned(&self.jobs).get(&gid).cloned() else {
+            return error_response(404, &format!("no job {gid}"));
+        };
+        if let Some(done) = &job.done {
+            return Response::json(200, done.clone());
+        }
+        let budget = self.core.root.scoped_child(Some(POLL_DEADLINE));
+        let remote_path = format!("/jobs/{}", job.remote_id);
+        let peer = &self.peers[job.peer];
+        let resp = match forward_once(
+            self,
+            job.peer,
+            "GET",
+            &remote_path,
+            &[],
+            b"",
+            budget.deadline(),
+        ) {
+            Ok(resp) => resp,
+            Err(e) => {
+                self.record(job.peer, false);
+                peer.failures.fetch_add(1, Ordering::Relaxed);
+                return match e {
+                    ClientError::Connect(_) => requeue_job(self, gid, &job),
+                    e => error_response(502, &format!("poll forward failed: {e}")),
+                };
+            }
+        };
+        peer.forwards.fetch_add(1, Ordering::Relaxed);
+        match resp.status {
+            200 => {}
+            // A 404 means the owner restarted and lost the job table; treat
+            // it like a dead owner and resubmit.
+            404 => return requeue_job(self, gid, &job),
+            _ => return relay(self, resp, job.peer),
+        }
+        self.record(job.peer, true);
+        let Some(body) = rewrite_job_id(&resp.body_text(), gid) else {
+            return error_response(502, "peer poll body did not parse");
+        };
+        if body.contains("\"state\":\"done\"") {
+            if let Some(tracked) = lock_unpoisoned(&self.jobs).get_mut(&gid) {
+                tracked.done = Some(body.clone());
+            }
+            // Snapshot and retain the gateway-side trace now that the job
+            // reached a terminal state, so a stitched cluster trace is
+            // servable for it.
+            if let Some(trace) = job.tracer().finish() {
+                self.traces.insert(trace);
+            }
+            self.core.log.info(
+                "job_done",
+                job.tracer().trace_id(),
+                "",
+                &[
+                    ("job", gid.into()),
+                    ("peer", AttrValue::Str(peer.addr.clone())),
+                ],
+            );
+        }
+        Response::json(200, body).with_header("X-Ptmap-Peer", peer.addr.clone())
+    }
+
+    /// `GET /jobs/<id>/trace`: one stitched cluster trace. The gateway's
+    /// own span tree (admission, forwards, retries, requeues) and
+    /// the daemon's compile tree are merged under the shared trace id:
+    /// the daemon's spans graft onto the winning `forward` span. A
+    /// numeric id resolves through the tracked async job to its owner;
+    /// otherwise the id is a trace id — served from the local store and,
+    /// for the daemon half, fanned out to live (breaker-admitting) peers
+    /// with each probe bounded by a slice of the remaining request budget
+    /// so one hung peer cannot starve the rest of the fan-out.
+    fn trace(&self, id_text: &str, raw: bool) -> Response {
+        let budget = self.core.root.scoped_child(Some(POLL_DEADLINE));
+
+        if let Ok(gid) = id_text.parse::<u64>() {
+            let Some(job) = lock_unpoisoned(&self.jobs).get(&gid).cloned() else {
+                return error_response(404, &format!("no job {gid}"));
+            };
+            let remote = format!("/jobs/{}/trace?format=raw", job.remote_id);
+            let daemon = forward_once(self, job.peer, "GET", &remote, &[], b"", budget.deadline())
+                .ok()
+                .as_ref()
+                .and_then(parse_raw_trace);
+            // The stored snapshot (taken at poll-done) is preferred; a
+            // still-running job gets a live snapshot of its open tree.
+            let gateway = match job
+                .tracer()
+                .trace_id()
+                .and_then(|id| self.traces.by_trace_id(id))
+            {
+                Some(stored) => Some(stored.raw.as_ref().clone()),
+                None => job.tracer().finish(),
+            };
+            return trace_response(gateway, daemon, raw)
+                .unwrap_or_else(|| error_response(404, &format!("no trace for job {gid}")));
+        }
+
+        let stored = self.traces.by_trace_id(id_text);
+        let gateway = stored.map(|s| s.raw.as_ref().clone());
+        let mut daemon: Option<Trace> = None;
+        let peers = self.available_peers();
+        let total = peers.len();
+        for (i, idx) in peers.into_iter().enumerate() {
+            if budget.check().is_err() {
+                break;
+            }
+            // Each probe gets an even slice of what is left (with a small
+            // floor), never the whole remaining budget.
+            let left = budget.remaining().unwrap_or(POLL_DEADLINE);
+            let slice = (left / (total - i) as u32)
+                .max(Duration::from_millis(100))
+                .min(left);
+            let remote = format!("/jobs/{id_text}/trace?format=raw");
+            let deadline = Some(Instant::now() + slice);
+            if let Ok(resp) = forward_once(self, idx, "GET", &remote, &[], b"", deadline) {
+                if let Some(t) = parse_raw_trace(&resp) {
+                    daemon = Some(t);
+                    break;
+                }
+            }
+        }
+        trace_response(gateway, daemon, raw)
+            .unwrap_or_else(|| error_response(404, &format!("no trace {id_text}")))
+    }
+
+    fn extra_path(&self) -> &'static str {
+        "/cluster"
+    }
+
+    /// `GET /cluster`: membership and breaker introspection.
+    fn extra(&self) -> Response {
+        let now = Instant::now();
+        let transitions = lock_unpoisoned(&self.transitions).clone();
+        let peers: Vec<Value> = self
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(idx, peer)| {
+                let mut breaker = lock_unpoisoned(&peer.breaker);
+                let state_name = breaker.state(now).name();
+                let consecutive = breaker.consecutive_failures();
+                drop(breaker);
+                let opened = transitions.get(&(idx, "open")).copied().unwrap_or(0);
+                Value::Object(vec![
+                    ("addr".to_string(), Value::Str(peer.addr.clone())),
+                    ("state".to_string(), Value::Str(state_name.to_string())),
+                    (
+                        "consecutive_failures".to_string(),
+                        Value::UInt(u64::from(consecutive)),
+                    ),
+                    (
+                        "forwards".to_string(),
+                        Value::UInt(peer.forwards.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "failures".to_string(),
+                        Value::UInt(peer.failures.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "probes_ok".to_string(),
+                        Value::UInt(peer.probes_ok.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "probes_failed".to_string(),
+                        Value::UInt(peer.probes_failed.load(Ordering::Relaxed)),
+                    ),
+                    ("times_opened".to_string(), Value::UInt(opened)),
+                ])
+            })
+            .collect();
+        let doc = Value::Object(vec![
+            ("peers".to_string(), Value::Array(peers)),
+            (
+                "available".to_string(),
+                Value::UInt(self.available_peers().len() as u64),
+            ),
+            (
+                "vnodes_per_peer".to_string(),
+                Value::UInt(crate::shard::VNODES as u64),
+            ),
+            (
+                "jobs_tracked".to_string(),
+                Value::UInt(lock_unpoisoned(&self.jobs).len() as u64),
+            ),
+            ("draining".to_string(), Value::Bool(self.core.draining())),
+        ]);
+        Response::json(200, serde_json::to_string(&doc).unwrap_or_default())
+    }
+
+    /// Ready iff the gateway can route somewhere.
+    fn healthz(&self) -> Response {
+        match self.available_peers().len() {
+            0 => Response::json(503, "{\"status\":\"no peers available\"}".to_string()),
+            n => Response::json(
+                200,
+                format!("{{\"status\":\"ok\",\"peers_available\":{n}}}"),
+            ),
+        }
+    }
+
+    fn metrics_text(&self, live: bool) -> String {
+        render_gateway_metrics(self, live)
+    }
+
+    fn summary(&self) -> Vec<(&'static str, AttrValue)> {
+        vec![
+            ("forwards", self.forwards().into()),
+            ("retries", self.retries.load(Ordering::Relaxed).into()),
+            ("requeued", self.requeued.load(Ordering::Relaxed).into()),
+        ]
+    }
+}
+
+/// A gateway-side trace under the client's `X-Ptmap-Trace-Id`, or
+/// under a freshly minted id.
+fn gateway_tracer(request: &Request) -> (String, Tracer) {
+    let trace_id = request
+        .header("x-ptmap-trace-id")
+        .map(str::to_string)
+        .unwrap_or_else(|| next_trace_id("gateway"));
+    let tracer = Tracer::root_with_id("gateway", trace_id.clone());
+    (trace_id, tracer)
+}
+
+/// Runs faultpoint `site` scoped to peer `addr`, as the client error
+/// the injected fault simulates.
+fn peer_fault(addr: &str, site: &'static str) -> Result<(), ClientError> {
+    with_scope(addr, || fail_point(site)).map_err(|f| {
+        if f.refused {
+            ClientError::Connect(format!("{addr}: injected refusal"))
+        } else {
+            ClientError::Io(format!("injected fault at {}", f.site))
+        }
+    })
 }
 
 /// One health probe of one peer; drives its breaker.
@@ -525,30 +739,16 @@ fn probe_peer(state: &GatewayState, idx: usize) {
     let peer = &state.peers[idx];
     let deadline = Instant::now()
         + PROBE_DEADLINE.min(state.config.probe_interval.max(Duration::from_millis(50)));
-    let result = with_scope(&peer.addr, || fail_point(sites::PEER_HEALTH)).map_err(|f| {
-        if f.refused {
-            ClientError::Connect(format!("{}: injected refusal", peer.addr))
-        } else {
-            ClientError::Io(format!("injected fault at {}", f.site))
-        }
-    });
-    let healthy = match result {
-        Err(_) => false,
-        Ok(()) => client::request(&peer.addr, "GET", "/healthz", &[], b"", Some(deadline))
-            .map(|resp| resp.status == 200)
-            .unwrap_or(false),
-    };
-    let now = Instant::now();
-    let mut breaker = lock_unpoisoned(&peer.breaker);
-    let change = if healthy {
-        peer.probes_ok.fetch_add(1, Ordering::Relaxed);
-        breaker.record_success(now)
+    let healthy = peer_fault(&peer.addr, sites::PEER_HEALTH).is_ok()
+        && client::request(&peer.addr, "GET", "/healthz", &[], b"", Some(deadline))
+            .is_ok_and(|resp| resp.status == 200);
+    let counter = if healthy {
+        &peer.probes_ok
     } else {
-        peer.probes_failed.fetch_add(1, Ordering::Relaxed);
-        breaker.record_failure(now)
+        &peer.probes_failed
     };
-    drop(breaker);
-    state.note_transition(idx, change);
+    counter.fetch_add(1, Ordering::Relaxed);
+    state.record(idx, healthy);
 }
 
 /// Why a forward produced no relayable response.
@@ -572,13 +772,7 @@ fn forward_once(
     deadline: Option<Instant>,
 ) -> Result<PeerResponse, ClientError> {
     let peer = &state.peers[idx];
-    with_scope(&peer.addr, || fail_point(sites::GATEWAY_FORWARD)).map_err(|f| {
-        if f.refused {
-            ClientError::Connect(format!("{}: injected refusal", peer.addr))
-        } else {
-            ClientError::Io(format!("injected fault at {}", f.site))
-        }
-    })?;
+    peer_fault(&peer.addr, sites::GATEWAY_FORWARD)?;
     let borrowed: Vec<(&str, &str)> = headers
         .iter()
         .map(|(n, v)| (n.as_str(), v.as_str()))
@@ -603,7 +797,6 @@ fn forward_with_retries(
     headers: &[(String, String)],
     body: &[u8],
     budget: &Budget,
-    start_offset: usize,
     tracer: &Tracer,
 ) -> Result<(PeerResponse, usize), ForwardError> {
     if state.ring.is_empty() {
@@ -616,7 +809,7 @@ fn forward_with_retries(
         if budget.check().is_err() {
             return Err(ForwardError::Deadline);
         }
-        let order = state.candidates(key, start_offset + attempt as usize);
+        let order = state.candidates(key, attempt as usize);
         let idx = order[0];
         let peer = &state.peers[idx];
         if attempt > 0 {
@@ -659,8 +852,7 @@ fn forward_with_retries(
                 peer.forwards.fetch_add(1, Ordering::Relaxed);
                 span.attr("status", u64::from(resp.status));
                 // Any parsed response proves the peer alive.
-                let change = lock_unpoisoned(&peer.breaker).record_success(Instant::now());
-                state.note_transition(idx, change);
+                state.record(idx, true);
                 if resp.status == 503 {
                     // Overloaded or draining: reshard, but the breaker
                     // stays closed — the peer is answering.
@@ -672,29 +864,24 @@ fn forward_with_retries(
                     return Ok((resp, idx));
                 }
             }
-            Err(ClientError::DeadlineExpired) => {
-                peer.failures.fetch_add(1, Ordering::Relaxed);
-                span.attr("error", "deadline");
-                let change = lock_unpoisoned(&peer.breaker).record_failure(Instant::now());
-                state.note_transition(idx, change);
-                return Err(ForwardError::Deadline);
-            }
             Err(e) => {
                 peer.failures.fetch_add(1, Ordering::Relaxed);
+                state.record(idx, false);
+                if matches!(e, ClientError::DeadlineExpired) {
+                    span.attr("error", "deadline");
+                    return Err(ForwardError::Deadline);
+                }
                 span.attr("error", e.to_string());
-                let change = lock_unpoisoned(&peer.breaker).record_failure(Instant::now());
-                state.note_transition(idx, change);
                 last_err = format!("{}: {e}", peer.addr);
             }
         }
-        // Backoff before the next replica: base·2^attempt plus jitter
-        // derived from (key, attempt) so a thundering herd of retries
-        // for different keys spreads out, capped by the budget.
+        // Backoff before the next replica: BACKOFF·2^attempt plus
+        // jitter derived from (key, attempt) so a thundering herd of
+        // retries for different keys spreads out, capped by the budget.
         if attempt < state.config.max_retries {
-            let base = state.config.backoff_base.max(Duration::from_millis(1));
-            let step = base.saturating_mul(1 << attempt.min(10));
+            let step = BACKOFF.saturating_mul(1 << attempt.min(10));
             let jitter_ms =
-                hash64(format!("{key}:{attempt}").as_bytes()) % (base.as_millis().max(1) as u64);
+                hash64(format!("{key}:{attempt}").as_bytes()) % (BACKOFF.as_millis() as u64);
             let mut sleep = step + Duration::from_millis(jitter_ms);
             if let Some(left) = budget.remaining() {
                 sleep = sleep.min(left);
@@ -715,84 +902,6 @@ fn forward_with_retries(
     })
 }
 
-/// What a hedge leg reports back: its ring offset and the forward's
-/// outcome.
-type LegResult = (usize, Result<(PeerResponse, usize), ForwardError>);
-
-/// A sync-compile forward, hedged when configured: if the primary has
-/// not answered after `hedge_after`, a second forward starts one
-/// replica further along the failover sequence and the first response
-/// wins.
-fn forward_sync(
-    state: &Arc<GatewayState>,
-    key: &str,
-    headers: &[(String, String)],
-    body: &[u8],
-    budget: &Budget,
-    tracer: &Tracer,
-) -> Result<(PeerResponse, usize), ForwardError> {
-    let hedge_after = match state.config.hedge_after {
-        Some(d) if state.ring.len() > 1 => d,
-        _ => {
-            return forward_with_retries(
-                state, key, "POST", "/compile", headers, body, budget, 0, tracer,
-            )
-        }
-    };
-
-    let (tx, rx) = mpsc::channel();
-    let spawn_leg = |offset: usize, tx: mpsc::Sender<LegResult>| {
-        let state = Arc::clone(state);
-        let key = key.to_string();
-        let headers = headers.to_vec();
-        let body = body.to_vec();
-        let budget = budget.clone();
-        // A clone records into the same trace under the same
-        // parent, so both legs' forward spans land side by side.
-        let tracer = tracer.clone();
-        let _ = std::thread::Builder::new()
-            .name("ptmap-gw-fwd".to_string())
-            .spawn(move || {
-                let result = forward_with_retries(
-                    &state, &key, "POST", "/compile", &headers, &body, &budget, offset, &tracer,
-                );
-                let _ = tx.send((offset, result));
-            });
-    };
-    spawn_leg(0, tx.clone());
-    match rx.recv_timeout(hedge_after) {
-        Ok((_, result)) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            state.hedges.fetch_add(1, Ordering::Relaxed);
-            tracer.event("hedge_start");
-            state.log.info(
-                "hedge",
-                tracer.trace_id(),
-                "primary quiet past hedge-after; racing a second replica",
-                &[("after_ms", (hedge_after.as_millis() as u64).into())],
-            );
-            spawn_leg(1, tx);
-            match rx.recv() {
-                Ok((offset, result)) => {
-                    if offset == 1 && result.is_ok() {
-                        state.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                        tracer.event("hedge_winner");
-                    }
-                    result
-                }
-                Err(_) => Err(ForwardError::Exhausted {
-                    attempts: 0,
-                    last: "all forward legs died".to_string(),
-                }),
-            }
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(ForwardError::Exhausted {
-            attempts: 0,
-            last: "forward leg died".to_string(),
-        }),
-    }
-}
-
 /// Maps a terminal forward error to the client-facing response, in the
 /// same outcome shape the daemons produce.
 fn forward_error_response(
@@ -801,53 +910,37 @@ fn forward_error_response(
     err: ForwardError,
     trace_id: Option<&str>,
 ) -> Response {
+    let (reason, class, message) = match &err {
+        ForwardError::NoPeers => ("no-peers", "overloaded", "no backend peers".to_string()),
+        ForwardError::Deadline => (
+            "deadline",
+            "timeout",
+            "deadline expired while forwarding".to_string(),
+        ),
+        ForwardError::Exhausted { attempts, last } => (
+            "unreachable",
+            "unreachable",
+            format!("all {attempts} forward attempts failed; last: {last}"),
+        ),
+    };
+    state.core.metrics.reject(reason);
+    let mut fields = vec![("name", name.into()), ("reason", reason.into())];
+    if let ForwardError::Exhausted { attempts, .. } = err {
+        fields.push(("attempts", u64::from(attempts).into()));
+    }
+    state
+        .core
+        .log
+        .warn("forward_failed", trace_id, &message, &fields);
+    let response = outcome_response(&error_outcome(name, class, message));
     match err {
-        ForwardError::NoPeers => {
-            state.metrics.reject("no-peers");
-            state.log.warn(
-                "forward_failed",
-                trace_id,
-                "no backend peers",
-                &[("name", name.into()), ("reason", "no-peers".into())],
-            );
-            let outcome = error_outcome(name, "overloaded", "no backend peers".to_string());
-            Response::json(503, serde_json::to_string(&outcome).unwrap_or_default())
-                .with_header("Retry-After", "1".to_string())
-        }
-        ForwardError::Deadline => {
-            state.metrics.reject("deadline");
-            state.log.warn(
-                "forward_failed",
-                trace_id,
-                "deadline expired while forwarding",
-                &[("name", name.into()), ("reason", "deadline".into())],
-            );
-            let outcome = error_outcome(
-                name,
-                "timeout",
-                "deadline expired while forwarding".to_string(),
-            );
-            Response::json(504, serde_json::to_string(&outcome).unwrap_or_default())
-        }
-        ForwardError::Exhausted { attempts, last } => {
-            state.metrics.reject("unreachable");
-            state.log.warn(
-                "forward_failed",
-                trace_id,
-                &format!("all {attempts} forward attempts failed; last: {last}"),
-                &[
-                    ("name", name.into()),
-                    ("reason", "unreachable".into()),
-                    ("attempts", u64::from(attempts).into()),
-                ],
-            );
-            let outcome = error_outcome(
-                name,
-                "unreachable",
-                format!("all {attempts} forward attempts failed; last: {last}"),
-            );
-            Response::json(502, serde_json::to_string(&outcome).unwrap_or_default())
-        }
+        ForwardError::NoPeers => with_retry_after(response, 1),
+        ForwardError::Deadline => response,
+        // An unreachable cluster is a bad gateway, not a compile error.
+        ForwardError::Exhausted { .. } => Response {
+            status: 502,
+            ..response
+        },
     }
 }
 
@@ -869,45 +962,6 @@ fn relay(state: &GatewayState, resp: PeerResponse, idx: usize) -> Response {
     out.with_header("X-Ptmap-Peer", state.peers[idx].addr.clone())
 }
 
-/// Validates the optional request headers shared by `/compile` and
-/// `/jobs`; returns `(timeout, quality)` or the structured 400.
-fn validate_headers(
-    request: &Request,
-    config: &GatewayConfig,
-) -> Result<(Duration, Option<BackendKind>), Response> {
-    let timeout = match request.header("x-ptmap-deadline-ms") {
-        None => config.default_timeout,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms).min(config.default_timeout),
-            Err(_) => {
-                return Err(Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":{:?},\"reason\":\"bad-deadline\"}}",
-                        format!("bad X-Ptmap-Deadline-Ms {raw:?}: expected milliseconds")
-                    ),
-                ))
-            }
-        },
-    };
-    let quality = match request.header("x-ptmap-quality") {
-        None => None,
-        Some(raw) => match raw.parse::<BackendKind>() {
-            Ok(q) => Some(q),
-            Err(e) => {
-                return Err(Response::json(
-                    400,
-                    format!(
-                        "{{\"error\":{:?},\"reason\":\"bad-quality\"}}",
-                        format!("bad X-Ptmap-Quality: {e}")
-                    ),
-                ))
-            }
-        },
-    };
-    Ok((timeout, quality))
-}
-
 /// Headers propagated on every forwarded hop (minus the deadline,
 /// which [`forward_with_retries`] re-derives per attempt).
 fn hop_headers(request: &Request) -> Vec<(String, String)> {
@@ -920,179 +974,40 @@ fn hop_headers(request: &Request) -> Vec<(String, String)> {
     headers
 }
 
-/// Parses the body as a spec and resolves its routing key under the
-/// quality-adjusted base config.
-fn resolve_key(
-    state: &GatewayState,
-    body: &[u8],
-    quality: Option<BackendKind>,
-) -> Result<(String, String), Response> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Response::json(400, "{\"error\":\"body is not UTF-8\"}".to_string()))?;
-    let spec: JobSpec = serde_json::from_str(text).map_err(|e| {
-        Response::json(400, format!("{{\"error\":{:?}}}", format!("job spec: {e}")))
-    })?;
-    let job =
-        Job::resolve(&spec).map_err(|e| Response::json(400, format!("{{\"error\":{e:?}}}")))?;
-    let mut base = state.config.base.clone();
-    if let Some(q) = quality {
-        base.mapper.backend = q;
-    }
-    Ok((request_key(&job, &base), job.name))
-}
-
-/// Reads, routes, answers, closes.
-fn handle_connection(state: &Arc<GatewayState>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let request = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(HttpError::BadRequest(m)) => {
-            let resp = Response::json(400, format!("{{\"error\":{:?}}}", m));
-            let _ = write_response(&mut stream, &resp);
-            return;
-        }
-        Err(HttpError::TooLarge(m)) => {
-            let resp = Response::json(413, format!("{{\"error\":{:?}}}", m));
-            let _ = write_response(&mut stream, &resp);
-            return;
-        }
-        Err(HttpError::Io(_)) => return,
-    };
-    let _ = stream.set_read_timeout(None);
-    state.requests.fetch_add(1, Ordering::Relaxed);
-
-    let t0 = Instant::now();
-    let (endpoint, response) = route(state, &request);
-    state
-        .metrics
-        .observe_request(endpoint, response.status, t0.elapsed());
-    let _ = write_response(&mut stream, &response);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Dispatches one request.
-fn route(state: &Arc<GatewayState>, request: &Request) -> (&'static str, Response) {
-    let (path, query) = match request.path.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (request.path.as_str(), None),
-    };
-    match (request.method.as_str(), path) {
-        ("POST", "/compile") => ("compile", handle_compile(state, request)),
-        ("POST", "/jobs") => ("jobs_submit", handle_submit(state, request)),
-        ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/trace") => {
-            ("jobs_trace", handle_trace(state, path, query))
-        }
-        ("GET", path) if path.starts_with("/jobs/") => ("jobs_poll", handle_poll(state, path)),
-        ("GET", "/metrics") => (
-            "metrics",
-            Response::text(200, render_gateway_metrics(state, true)),
-        ),
-        ("GET", "/cluster") => ("cluster", handle_cluster(state)),
-        ("GET", "/healthz") => ("healthz", handle_healthz(state)),
-        ("GET", "/debug/events") => (
-            "debug_events",
-            crate::events::events_response(&state.log, query),
-        ),
-        (_, "/compile" | "/jobs" | "/metrics" | "/cluster" | "/healthz" | "/debug/events") => (
-            "other",
-            Response::json(405, "{\"error\":\"method not allowed\"}".to_string()),
-        ),
-        _ => (
-            "other",
-            Response::json(404, "{\"error\":\"not found\"}".to_string()),
-        ),
-    }
-}
-
 /// The gateway's own draining 503.
 fn draining_response(state: &GatewayState) -> Response {
-    state.metrics.reject("draining");
-    Response::json(
-        503,
-        "{\"error\":\"gateway is draining\",\"reason\":\"draining\"}".to_string(),
+    state.core.metrics.reject("draining");
+    with_retry_after(
+        Response::json(
+            503,
+            "{\"error\":\"gateway is draining\",\"reason\":\"draining\"}".to_string(),
+        ),
+        state.config.drain_timeout.as_secs(),
     )
-    .with_header(
-        "Retry-After",
-        state.config.drain_timeout.as_secs().max(1).to_string(),
-    )
-}
-
-/// `POST /compile`: cache tier, then a (possibly hedged) forward. The
-/// whole hop records a gateway-side span tree under the client's
-/// trace id (or a freshly minted one), which is retained for
-/// stitching with the daemon's compile tree.
-fn handle_compile(state: &Arc<GatewayState>, request: &Request) -> Response {
-    if state.draining.load(Ordering::Acquire) {
-        return draining_response(state);
-    }
-    let trace_id = request
-        .header("x-ptmap-trace-id")
-        .map(str::to_string)
-        .unwrap_or_else(|| next_trace_id("gateway"));
-    let tracer = Tracer::root_with_id("gateway", trace_id.clone());
-    let (response, winner) = {
-        let root = tracer.span("gateway");
-        root.attr("endpoint", "compile");
-        compile_via_cluster(state, request, &root, &trace_id)
-    };
-    if let Some(trace) = tracer.finish() {
-        if let Some(idx) = winner {
-            export_stitched(state, &trace, idx);
-        }
-        state.traces.insert(trace);
-    }
-    // Error paths carry no daemon-set trace-id header; stamp ours so
-    // the client can still fetch the gateway-side trace.
-    if response
-        .headers
-        .iter()
-        .any(|(n, _)| n.eq_ignore_ascii_case("x-ptmap-trace-id"))
-    {
-        response
-    } else {
-        response.with_header("X-Ptmap-Trace-Id", trace_id)
-    }
 }
 
 /// The body of one traced sync compile: admission, ring lookup,
-/// shared-cache tier, forward. Returns the response plus the winning
-/// peer index when a forward produced it (for `--trace-dir` export).
+/// shared-cache tier, forward.
 fn compile_via_cluster(
-    state: &Arc<GatewayState>,
+    state: &GatewayState,
     request: &Request,
     root: &Span,
     trace_id: &str,
-) -> (Response, Option<usize>) {
+) -> Response {
     let admission = root.tracer().span("admission");
-    let (timeout, quality) = match validate_headers(request, &state.config) {
-        Ok(v) => v,
+    let parsed = state
+        .core
+        .parse_job(request, &state.config.base, state.config.default_timeout);
+    let (name, key, budget) = match parsed {
+        Ok(r) => {
+            admission.attr("timeout_ms", r.timeout.as_millis() as u64);
+            (r.job.name, r.key, r.budget)
+        }
         Err(resp) => {
-            admission.attr("rejected", "bad-headers");
-            return (resp, None);
+            admission.attr("rejected", u64::from(resp.status));
+            return resp;
         }
     };
-    let (key, name) = match resolve_key(state, &request.body, quality) {
-        Ok(v) => v,
-        Err(resp) => {
-            admission.attr("rejected", "bad-spec");
-            return (resp, None);
-        }
-    };
-    admission.attr("timeout_ms", timeout.as_millis() as u64);
-
-    let budget = state.root.scoped_child(Some(timeout));
-    if let Err(e) = budget.check() {
-        admission.attr("rejected", "deadline");
-        state.metrics.reject("deadline");
-        let outcome = error_outcome(&name, e.class(), e.to_string());
-        return (
-            Response::json(
-                outcome_status(&outcome),
-                serde_json::to_string(&outcome).unwrap_or_default(),
-            ),
-            None,
-        );
-    }
     drop(admission);
 
     {
@@ -1109,7 +1024,7 @@ fn compile_via_cluster(
         if let Some(report) = cache.get(&key) {
             lookup.attr("hit", true);
             state.shared_cache_hits.fetch_add(1, Ordering::Relaxed);
-            state.log.info(
+            state.core.log.info(
                 "compile",
                 Some(trace_id),
                 "",
@@ -1129,11 +1044,8 @@ fn compile_via_cluster(
                 retries: 0,
                 trace_id: Some(trace_id.to_string()),
             };
-            return (
-                Response::json(200, serde_json::to_string(&outcome).unwrap_or_default())
-                    .with_header("X-Ptmap-Gateway-Cache", "hit".to_string()),
-                None,
-            );
+            return outcome_response(&outcome)
+                .with_header("X-Ptmap-Gateway-Cache", "hit".to_string());
         }
         lookup.attr("hit", false);
     }
@@ -1148,7 +1060,17 @@ fn compile_via_cluster(
     {
         headers.push(("x-ptmap-trace-id".to_string(), trace_id.to_string()));
     }
-    match forward_sync(state, &key, &headers, &request.body, &budget, root.tracer()) {
+    let forwarded = forward_with_retries(
+        state,
+        &key,
+        "POST",
+        "/compile",
+        &headers,
+        &request.body,
+        &budget,
+        root.tracer(),
+    );
+    match forwarded {
         Ok((resp, idx)) => {
             // Populate the shared tier from forwarded successes.
             if resp.status == 200 {
@@ -1160,7 +1082,7 @@ fn compile_via_cluster(
                     }
                 }
             }
-            state.log.info(
+            state.core.log.info(
                 "compile",
                 Some(trace_id),
                 "",
@@ -1170,154 +1092,10 @@ fn compile_via_cluster(
                     ("peer", AttrValue::Str(state.peers[idx].addr.clone())),
                 ],
             );
-            (relay(state, resp, idx), Some(idx))
+            relay(state, resp, idx)
         }
-        Err(err) => (
-            forward_error_response(state, &name, err, Some(trace_id)),
-            None,
-        ),
+        Err(err) => forward_error_response(state, &name, err, Some(trace_id)),
     }
-}
-
-/// Exports the stitched cluster trace for one forwarded sync compile
-/// to `--trace-dir` as `<trace-id>.json` Chrome trace-event JSON,
-/// fetching the daemon's raw span tree from the winning peer. Falls
-/// back to the gateway-only tree if the fetch fails.
-fn export_stitched(state: &GatewayState, gateway_trace: &Trace, winner: usize) {
-    let Some(dir) = &state.config.trace_dir else {
-        return;
-    };
-    let remote = format!("/jobs/{}/trace?format=raw", gateway_trace.trace_id);
-    let deadline = Instant::now() + PROBE_DEADLINE;
-    let daemons: Vec<Trace> = client::request(
-        &state.peers[winner].addr,
-        "GET",
-        &remote,
-        &[],
-        b"",
-        Some(deadline),
-    )
-    .ok()
-    .filter(|r| r.status == 200)
-    .and_then(|r| serde_json::from_str::<Trace>(&r.body_text()).ok())
-    .into_iter()
-    .collect();
-    let stitched = stitch(gateway_trace, &daemons);
-    // Client-supplied trace ids are arbitrary bytes; keep the
-    // filename safe.
-    let safe: String = stitched
-        .trace_id
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let path = dir.join(format!("{safe}.json"));
-    let written = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, chrome_trace_json(&stitched)));
-    if let Err(e) = written {
-        state.log.warn(
-            "trace_export_failed",
-            Some(&stitched.trace_id),
-            &format!("write {}: {e}", path.display()),
-            &[],
-        );
-    }
-}
-
-/// `POST /jobs`: forward to the key's owner, track the mapping. The
-/// gateway-side span tree stays open for the job's tracked lifetime,
-/// so later requeues land inside it.
-fn handle_submit(state: &Arc<GatewayState>, request: &Request) -> Response {
-    if state.draining.load(Ordering::Acquire) {
-        return draining_response(state);
-    }
-    let trace_id = request
-        .header("x-ptmap-trace-id")
-        .map(str::to_string)
-        .unwrap_or_else(|| next_trace_id("gateway"));
-    let tracer = Tracer::root_with_id("gateway", trace_id.clone());
-    let root = tracer.span("gateway");
-    root.attr("endpoint", "jobs_submit");
-    let admission = root.tracer().span("admission");
-    let (timeout, quality) = match validate_headers(request, &state.config) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let (key, name) = match resolve_key(state, &request.body, quality) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    drop(admission);
-    let budget = state.root.scoped_child(Some(timeout.min(POLL_DEADLINE)));
-    let headers = hop_headers(request);
-    let (resp, idx) = match forward_with_retries(
-        state,
-        &key,
-        "POST",
-        "/jobs",
-        &headers,
-        &request.body,
-        &budget,
-        0,
-        root.tracer(),
-    ) {
-        Ok(v) => v,
-        Err(err) => return forward_error_response(state, &name, err, Some(&trace_id)),
-    };
-    if resp.status != 202 {
-        return relay(state, resp, idx);
-    }
-    let Some(remote_id) = parse_job_id(&resp.body) else {
-        return Response::json(
-            502,
-            format!(
-                "{{\"error\":{:?}}}",
-                format!(
-                    "peer {} answered 202 without a job id",
-                    state.peers[idx].addr
-                )
-            ),
-        );
-    };
-    let gid = state.next_job_id.fetch_add(1, Ordering::Relaxed);
-    root.attr("job_id", gid);
-    root.attr("peer", state.peers[idx].addr.as_str());
-    state.log.info(
-        "job_submitted",
-        Some(&trace_id),
-        "",
-        &[
-            ("job", gid.into()),
-            ("name", name.into()),
-            ("peer", AttrValue::Str(state.peers[idx].addr.clone())),
-        ],
-    );
-    lock_unpoisoned(&state.jobs).insert(
-        gid,
-        GwJob {
-            body: request.body.clone(),
-            quality: request.header("x-ptmap-quality").map(str::to_string),
-            key,
-            peer: idx,
-            remote_id,
-            done: None,
-            span: Arc::new(root),
-        },
-    );
-    Response::json(
-        202,
-        format!(
-            "{{\"id\":{gid},\"state\":\"queued\",\"peer\":{:?}}}",
-            state.peers[idx].addr
-        ),
-    )
-    .with_header("X-Ptmap-Peer", state.peers[idx].addr.clone())
-    .with_header("X-Ptmap-Trace-Id", trace_id)
 }
 
 /// Extracts `id` from a submit/poll body.
@@ -1348,7 +1126,7 @@ fn rewrite_job_id(body: &str, gid: u64) -> Option<String> {
 /// replica. Returns the poll-shaped response for the client. The
 /// attempt records a `requeue` span inside the job's still-open
 /// gateway trace plus a correlated event-log line.
-fn requeue_job(state: &Arc<GatewayState>, gid: u64, job: &GwJob) -> Response {
+fn requeue_job(state: &GatewayState, gid: u64, job: &GwJob) -> Response {
     let span = job.tracer().span("requeue");
     span.attr("job_id", gid);
     span.attr("from", state.peers[job.peer].addr.as_str());
@@ -1356,7 +1134,7 @@ fn requeue_job(state: &Arc<GatewayState>, gid: u64, job: &GwJob) -> Response {
     if let Some(q) = &job.quality {
         headers.push(("x-ptmap-quality".to_string(), q.clone()));
     }
-    let budget = state.root.scoped_child(Some(POLL_DEADLINE));
+    let budget = state.core.root.scoped_child(Some(POLL_DEADLINE));
     for candidate in state.candidates(&job.key, 0) {
         if candidate == job.peer {
             continue; // the peer that just failed
@@ -1371,17 +1149,13 @@ fn requeue_job(state: &Arc<GatewayState>, gid: u64, job: &GwJob) -> Response {
             budget.deadline(),
         );
         let Ok(resp) = result else {
-            let change =
-                lock_unpoisoned(&state.peers[candidate].breaker).record_failure(Instant::now());
-            state.note_transition(candidate, change);
+            state.record(candidate, false);
             continue;
         };
         state.peers[candidate]
             .forwards
             .fetch_add(1, Ordering::Relaxed);
-        let change =
-            lock_unpoisoned(&state.peers[candidate].breaker).record_success(Instant::now());
-        state.note_transition(candidate, change);
+        state.record(candidate, true);
         if resp.status != 202 {
             continue; // queue full or draining there; try further along
         }
@@ -1395,7 +1169,7 @@ fn requeue_job(state: &Arc<GatewayState>, gid: u64, job: &GwJob) -> Response {
         state.requeued.fetch_add(1, Ordering::Relaxed);
         span.attr("to", state.peers[candidate].addr.as_str());
         span.attr("remote_id", remote_id);
-        state.log.warn(
+        state.core.log.warn(
             "job_requeued",
             job.tracer().trace_id(),
             "owner unreachable; job resubmitted",
@@ -1414,119 +1188,24 @@ fn requeue_job(state: &Arc<GatewayState>, gid: u64, job: &GwJob) -> Response {
         )
         .with_header("X-Ptmap-Peer", state.peers[candidate].addr.clone());
     }
-    state.metrics.reject("unreachable");
+    state.core.metrics.reject("unreachable");
     span.attr("error", "no replica accepted the requeue");
-    state.log.error(
+    state.core.log.error(
         "requeue_failed",
         job.tracer().trace_id(),
         "owner unreachable and no replica accepted a requeue",
         &[("job", gid.into())],
     );
-    Response::json(
-        503,
-        format!(
-            "{{\"error\":\"job {gid} owner unreachable and no replica accepted a requeue\",\
-             \"reason\":\"unreachable\"}}"
+    with_retry_after(
+        Response::json(
+            503,
+            format!(
+                "{{\"error\":\"job {gid} owner unreachable and no replica accepted a requeue\",\
+                 \"reason\":\"unreachable\"}}"
+            ),
         ),
+        1,
     )
-    .with_header("Retry-After", "1".to_string())
-}
-
-/// `GET /jobs/<id>`: poll through to the owner, requeue if it died.
-fn handle_poll(state: &Arc<GatewayState>, path: &str) -> Response {
-    let id_text = &path["/jobs/".len()..];
-    let Ok(gid) = id_text.parse::<u64>() else {
-        return Response::json(400, format!("{{\"error\":\"bad job id {id_text:?}\"}}"));
-    };
-    let Some(job) = lock_unpoisoned(&state.jobs).get(&gid).cloned() else {
-        return Response::json(404, format!("{{\"error\":\"no job {gid}\"}}"));
-    };
-    if let Some(done) = &job.done {
-        return Response::json(200, done.clone());
-    }
-    let budget = state.root.scoped_child(Some(POLL_DEADLINE));
-    let remote_path = format!("/jobs/{}", job.remote_id);
-    match forward_once(
-        state,
-        job.peer,
-        "GET",
-        &remote_path,
-        &[],
-        b"",
-        budget.deadline(),
-    ) {
-        Ok(resp) if resp.status == 200 => {
-            state.peers[job.peer]
-                .forwards
-                .fetch_add(1, Ordering::Relaxed);
-            let change =
-                lock_unpoisoned(&state.peers[job.peer].breaker).record_success(Instant::now());
-            state.note_transition(job.peer, change);
-            let Some(body) = rewrite_job_id(&resp.body_text(), gid) else {
-                return Response::json(
-                    502,
-                    "{\"error\":\"peer poll body did not parse\"}".to_string(),
-                );
-            };
-            if body.contains("\"state\":\"done\"") {
-                if let Some(tracked) = lock_unpoisoned(&state.jobs).get_mut(&gid) {
-                    tracked.done = Some(body.clone());
-                }
-                // Snapshot and retain the gateway-side trace now that
-                // the job reached a terminal state, so a stitched
-                // cluster trace is servable for it.
-                if let Some(trace) = job.tracer().finish() {
-                    state.traces.insert(trace);
-                }
-                state.log.info(
-                    "job_done",
-                    job.tracer().trace_id(),
-                    "",
-                    &[
-                        ("job", gid.into()),
-                        ("peer", AttrValue::Str(state.peers[job.peer].addr.clone())),
-                    ],
-                );
-            }
-            Response::json(200, body)
-                .with_header("X-Ptmap-Peer", state.peers[job.peer].addr.clone())
-        }
-        // A 404 means the owner restarted and lost the job table; treat
-        // it like a dead owner and resubmit.
-        Ok(resp) if resp.status == 404 => {
-            state.peers[job.peer]
-                .forwards
-                .fetch_add(1, Ordering::Relaxed);
-            requeue_job(state, gid, &job)
-        }
-        Ok(resp) => {
-            state.peers[job.peer]
-                .forwards
-                .fetch_add(1, Ordering::Relaxed);
-            relay(state, resp, job.peer)
-        }
-        Err(ClientError::Connect(_)) => {
-            let change =
-                lock_unpoisoned(&state.peers[job.peer].breaker).record_failure(Instant::now());
-            state.note_transition(job.peer, change);
-            state.peers[job.peer]
-                .failures
-                .fetch_add(1, Ordering::Relaxed);
-            requeue_job(state, gid, &job)
-        }
-        Err(e) => {
-            let change =
-                lock_unpoisoned(&state.peers[job.peer].breaker).record_failure(Instant::now());
-            state.note_transition(job.peer, change);
-            state.peers[job.peer]
-                .failures
-                .fetch_add(1, Ordering::Relaxed);
-            Response::json(
-                502,
-                format!("{{\"error\":{:?}}}", format!("poll forward failed: {e}")),
-            )
-        }
-    }
 }
 
 /// Parses a raw daemon [`Trace`] out of a peer's
@@ -1538,169 +1217,19 @@ fn parse_raw_trace(resp: &PeerResponse) -> Option<Trace> {
     serde_json::from_str::<Trace>(&resp.body_text()).ok()
 }
 
-/// Serves a (possibly stitched) trace: Chrome trace-event JSON by
-/// default, the raw span tree with `?format=raw`.
-fn trace_response(trace: &Trace, raw: bool) -> Response {
-    let body = if raw {
-        serde_json::to_string(trace).unwrap_or_else(|_| "{}".to_string())
-    } else {
-        chrome_trace_json(trace)
+/// Serves whichever trace halves were found, stitched: Chrome
+/// trace-event JSON by default, the raw span tree with `?format=raw`.
+fn trace_response(gateway: Option<Trace>, daemon: Option<Trace>, raw: bool) -> Option<Response> {
+    let trace = match (gateway, daemon) {
+        (Some(gw), daemon) => stitch(&gw, &Vec::from_iter(daemon)),
+        (None, daemon) => daemon?,
     };
-    Response::json(200, body).with_header("X-Ptmap-Trace-Id", trace.trace_id.clone())
-}
-
-/// `GET /jobs/<id>/trace`: one stitched cluster trace. The gateway's
-/// own span tree (admission, forwards, retries, hedges, requeues) and
-/// the daemon's compile tree are merged under the shared trace id:
-/// the daemon's spans graft onto the winning `forward` span. A
-/// numeric id resolves through the tracked async job to its owner;
-/// otherwise the id is a trace id — served from the local store and,
-/// for the daemon half, fanned out to live (breaker-admitting) peers
-/// with each probe bounded by a slice of the remaining request budget
-/// so one hung peer cannot starve the rest of the fan-out.
-fn handle_trace(state: &Arc<GatewayState>, path: &str, query: Option<&str>) -> Response {
-    let id_text = &path["/jobs/".len()..path.len() - "/trace".len()];
-    let raw = query
-        .map(|q| q.split('&').any(|kv| kv == "format=raw"))
-        .unwrap_or(false);
-    let budget = state.root.scoped_child(Some(POLL_DEADLINE));
-
-    if let Ok(gid) = id_text.parse::<u64>() {
-        let Some(job) = lock_unpoisoned(&state.jobs).get(&gid).cloned() else {
-            return Response::json(404, format!("{{\"error\":\"no job {gid}\"}}"));
-        };
-        let remote = format!("/jobs/{}/trace?format=raw", job.remote_id);
-        let daemon = forward_once(state, job.peer, "GET", &remote, &[], b"", budget.deadline())
-            .ok()
-            .as_ref()
-            .and_then(parse_raw_trace);
-        // The stored snapshot (taken at poll-done) is preferred; a
-        // still-running job gets a live snapshot of its open tree.
-        let gateway = match job
-            .tracer()
-            .trace_id()
-            .and_then(|id| state.traces.by_trace_id(id))
-        {
-            Some(stored) => Some(stored.raw.as_ref().clone()),
-            None => job.tracer().finish(),
-        };
-        return match (gateway, daemon) {
-            (Some(gw), Some(d)) => trace_response(&stitch(&gw, &[d]), raw),
-            (Some(gw), None) => trace_response(&stitch(&gw, &[]), raw),
-            (None, Some(d)) => trace_response(&d, raw),
-            (None, None) => {
-                Response::json(404, format!("{{\"error\":\"no trace for job {gid}\"}}"))
-            }
-        };
-    }
-
-    let stored = state.traces.by_trace_id(id_text);
-    let mut daemon: Option<Trace> = None;
-    let peers = state.available_peers();
-    let total = peers.len();
-    for (i, idx) in peers.into_iter().enumerate() {
-        if budget.check().is_err() {
-            break;
-        }
-        // Each probe gets an even slice of what is left (with a small
-        // floor), never the whole remaining budget.
-        let left = budget.remaining().unwrap_or(POLL_DEADLINE);
-        let slice = (left / (total - i) as u32)
-            .max(Duration::from_millis(100))
-            .min(left);
-        let remote = format!("/jobs/{id_text}/trace?format=raw");
-        let deadline = Some(Instant::now() + slice);
-        if let Ok(resp) = forward_once(state, idx, "GET", &remote, &[], b"", deadline) {
-            if let Some(t) = parse_raw_trace(&resp) {
-                daemon = Some(t);
-                break;
-            }
-        }
-    }
-    match (stored, daemon) {
-        (Some(gw), Some(d)) => trace_response(&stitch(&gw.raw, &[d]), raw),
-        (Some(gw), None) => trace_response(&stitch(&gw.raw, &[]), raw),
-        (None, Some(d)) => trace_response(&d, raw),
-        (None, None) => Response::json(404, format!("{{\"error\":\"no trace {id_text}\"}}")),
-    }
-}
-
-/// `GET /cluster`: membership and breaker introspection.
-fn handle_cluster(state: &Arc<GatewayState>) -> Response {
-    let now = Instant::now();
-    let transitions = lock_unpoisoned(&state.transitions).clone();
-    let peers: Vec<Value> = state
-        .peers
-        .iter()
-        .enumerate()
-        .map(|(idx, peer)| {
-            let mut breaker = lock_unpoisoned(&peer.breaker);
-            let state_name = breaker.state(now).name();
-            let consecutive = breaker.consecutive_failures();
-            drop(breaker);
-            let opened = transitions.get(&(idx, "open")).copied().unwrap_or(0);
-            Value::Object(vec![
-                ("addr".to_string(), Value::Str(peer.addr.clone())),
-                ("state".to_string(), Value::Str(state_name.to_string())),
-                (
-                    "consecutive_failures".to_string(),
-                    Value::UInt(u64::from(consecutive)),
-                ),
-                (
-                    "forwards".to_string(),
-                    Value::UInt(peer.forwards.load(Ordering::Relaxed)),
-                ),
-                (
-                    "failures".to_string(),
-                    Value::UInt(peer.failures.load(Ordering::Relaxed)),
-                ),
-                (
-                    "probes_ok".to_string(),
-                    Value::UInt(peer.probes_ok.load(Ordering::Relaxed)),
-                ),
-                (
-                    "probes_failed".to_string(),
-                    Value::UInt(peer.probes_failed.load(Ordering::Relaxed)),
-                ),
-                ("times_opened".to_string(), Value::UInt(opened)),
-            ])
-        })
-        .collect();
-    let doc = Value::Object(vec![
-        ("peers".to_string(), Value::Array(peers)),
-        (
-            "available".to_string(),
-            Value::UInt(state.available_peers().len() as u64),
-        ),
-        (
-            "vnodes_per_peer".to_string(),
-            Value::UInt(crate::shard::VNODES as u64),
-        ),
-        (
-            "jobs_tracked".to_string(),
-            Value::UInt(lock_unpoisoned(&state.jobs).len() as u64),
-        ),
-        (
-            "draining".to_string(),
-            Value::Bool(state.draining.load(Ordering::Acquire)),
-        ),
-    ]);
-    Response::json(200, serde_json::to_string(&doc).unwrap_or_default())
-}
-
-/// `GET /healthz`: the gateway is ready iff it can route somewhere.
-fn handle_healthz(state: &Arc<GatewayState>) -> Response {
-    if state.draining.load(Ordering::Acquire) {
-        return Response::json(503, "{\"status\":\"draining\"}".to_string());
-    }
-    let available = state.available_peers().len();
-    if available == 0 {
-        return Response::json(503, "{\"status\":\"no peers available\"}".to_string());
-    }
-    Response::json(
-        200,
-        format!("{{\"status\":\"ok\",\"peers_available\":{available}}}"),
-    )
+    let body = if raw {
+        serde_json::to_string(&trace).unwrap_or_else(|_| "{}".to_string())
+    } else {
+        chrome_trace_json(&trace)
+    };
+    Some(Response::json(200, body).with_header("X-Ptmap-Trace-Id", trace.trace_id.clone()))
 }
 
 /// The scalar singletons re-exported per peer in the cluster rollup.
@@ -1724,7 +1253,7 @@ const ROLLUP_METRICS: [(&str, &str); 6] = [
 /// tests and the drain summary, where no network should be touched).
 fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
     let mut out = String::new();
-    render_http_sections(&state.metrics, &mut out);
+    render_http_sections(&state.core.metrics, &mut out);
 
     out.push_str("# HELP ptmap_gateway_forwards_total Forward attempts answered, by peer.\n");
     out.push_str("# TYPE ptmap_gateway_forwards_total counter\n");
@@ -1817,7 +1346,7 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
         (
             "ptmap_gateway_draining",
             "1 while the gateway is draining for shutdown.",
-            u64::from(state.draining.load(Ordering::Acquire)),
+            u64::from(state.core.draining()),
         ),
     ] {
         let _ = writeln!(
@@ -1830,16 +1359,6 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
             "ptmap_gateway_retries_total",
             "Forward attempts that were retries.",
             state.retries.load(Ordering::Relaxed),
-        ),
-        (
-            "ptmap_gateway_hedges_total",
-            "Hedged forwards started.",
-            state.hedges.load(Ordering::Relaxed),
-        ),
-        (
-            "ptmap_gateway_hedge_wins_total",
-            "Hedged forwards that answered first.",
-            state.hedge_wins.load(Ordering::Relaxed),
         ),
         (
             "ptmap_gateway_jobs_requeued_total",
@@ -1977,22 +1496,20 @@ mod tests {
             ..GatewayConfig::default()
         })
         .unwrap();
-        let handle = gw.handle();
-        handle
-            .state
+        gw.state
+            .core
             .metrics
             .observe_request("compile", 200, Duration::from_millis(5));
-        handle
-            .state
+        gw.state
             .note_transition(0, Some((BreakerState::Closed, BreakerState::Open)));
-        let text = handle.metrics_text();
+        let text = gw.handle().metrics_text();
         crate::metrics::check_prometheus_text(&text).expect("must parse");
         assert!(text.contains("ptmap_gateway_forwards_total{peer=\"127.0.0.1:1\"} 0"));
         assert!(text.contains(
             "ptmap_gateway_breaker_transitions_total{peer=\"127.0.0.1:1\",state=\"open\"} 1"
         ));
         assert!(text.contains("ptmap_gateway_peers_available 2"));
-        assert!(text.contains("ptmap_gateway_hedges_total 0"));
+        assert!(text.contains("ptmap_gateway_retries_total 0"));
     }
 
     #[test]

@@ -42,16 +42,18 @@ pub mod jobs;
 pub mod loadtest;
 pub mod metrics;
 pub mod server;
+mod service;
 pub mod shard;
 pub mod signal;
 pub mod traces;
 
 pub use coalesce::Coalescer;
-pub use gateway::{Gateway, GatewayConfig, GatewayHandle, GatewaySummary};
+pub use gateway::{Gateway, GatewayConfig, GatewaySummary};
 pub use jobs::{JobState, JobTable};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use metrics::ServiceMetrics;
-pub use server::{DrainSummary, ServeConfig, Server, ServerHandle};
+pub use server::{DrainSummary, ServeConfig, Server};
+pub use service::ServiceHandle;
 pub use shard::{Breaker, BreakerState, HashRing};
 pub use traces::TraceStore;
 

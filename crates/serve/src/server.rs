@@ -1,34 +1,37 @@
-//! The daemon: accept loop, request routing, worker pool, drain.
+//! The daemon: compile endpoints, worker pool, online learning.
 //!
 //! One [`ServerState`] holds everything resident: the report cache,
-//! the pipeline recorder, the flight table, the async job queue, and
-//! the server-wide root [`Budget`]. Every request compiles under a
-//! *scope* of that root ([`Budget::scoped_child`]): cancelling a
-//! request (client disconnect, per-request deadline) never touches the
-//! root, while cancelling the root (drain timeout) reaches every
-//! in-flight compile through the ancestor chain.
+//! the pipeline recorder, the flight table and the async job queue,
+//! behind the shared `service` (`service.rs`) skeleton that owns the
+//! accept loop, routing plumbing and drain. Every request compiles
+//! under a *scope* of the skeleton's root
+//! [`Budget`](ptmap_governor::Budget): cancelling a request (client
+//! disconnect, per-request deadline) never touches the root, while
+//! cancelling the root (drain timeout) reaches every in-flight compile
+//! through the ancestor chain.
 
-use crate::coalesce::{Coalescer, Join};
-use crate::http::{read_request, write_response, HttpError, Request, Response};
+use crate::coalesce::{Coalescer, Flight, Join};
+use crate::http::{Request, Response};
 use crate::jobs::{JobState, JobTable, SubmitError};
-use crate::metrics::{render, ServiceGauges, ServiceMetrics};
+use crate::metrics::{render, ServiceGauges};
+use crate::service::{
+    error_outcome, error_response, outcome_response, outcome_status, parse_headers, parse_spec,
+    with_retry_after, Core, Service, ServiceHandle,
+};
 use crate::traces::TraceStore;
-use crate::{lock_unpoisoned, signal};
 use ptmap_core::PtMapConfig;
-use ptmap_governor::Budget;
 use ptmap_learn::{LearnConfig, LearnEngine};
-use ptmap_mapper::BackendKind;
 use ptmap_pipeline::{
     compile_job_traced, request_key, BatchConfig, Job, JobOutcome, JobSpec, Recorder, ReportCache,
 };
-use ptmap_trace::obs::{EventLog, Level, LogFormat};
+use ptmap_trace::obs::{Level, LogFormat};
 use ptmap_trace::{AttrValue, SamplePolicy, Tracer};
 use serde_json::Value;
 use std::io::Read;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the daemon is configured (flags + defaults).
@@ -113,35 +116,21 @@ pub struct DrainSummary {
 
 /// Everything the handler threads share.
 pub(crate) struct ServerState {
+    core: Core,
     config: ServeConfig,
     cache: ReportCache,
     recorder: Recorder,
     coalescer: Arc<Coalescer>,
     jobs: JobTable,
-    metrics: ServiceMetrics,
     /// Ring buffer of retained compile traces (`GET /jobs/<id>/trace`).
     traces: TraceStore,
-    /// Structured event log + flight recorder (`GET /debug/events`).
-    log: Arc<EventLog>,
     /// The online-learning engine (`--learn`); doubles as the pipeline
     /// sample tap.
     learn: Option<Arc<LearnEngine>>,
-    /// The server-wide root budget; every request scope descends from
-    /// it, so cancelling it (drain timeout) cancels all compiles.
-    root: Budget,
-    /// In-process shutdown request (tests; the CLI uses [`signal`]).
-    stop: AtomicBool,
-    draining: AtomicBool,
     /// Leader compiles currently running.
     inflight: AtomicUsize,
     /// Async worker threads currently alive.
     workers_alive: AtomicUsize,
-    /// Open HTTP connections (drain waits for zero).
-    conns: Mutex<usize>,
-    conns_cv: Condvar,
-    /// Monotonic id handed to jobs submitted via `/compile` has no
-    /// meaning; this counts *requests* for the drain summary.
-    requests: AtomicU64,
 }
 
 impl ServerState {
@@ -153,56 +142,13 @@ impl ServerState {
             flights_in_flight: self.coalescer.in_flight(),
             coalesced_total: self.coalescer.coalesced_total(),
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            draining: self.draining.load(Ordering::Relaxed),
+            draining: self.core.draining(),
             cache_hits: hits,
             cache_misses: misses,
             cache_quarantines: self.cache.quarantines(),
             cache_entries: self.cache.len(),
             trace_entries: self.traces.len(),
         }
-    }
-
-    /// The sampling policy the flag set configures.
-    fn trace_policy(&self) -> SamplePolicy {
-        SamplePolicy {
-            sample: self.config.trace_sample,
-            slow_ms: self.config.trace_slow_ms,
-        }
-    }
-
-    fn render_metrics(&self) -> String {
-        let (spans, counters) = self.recorder.snapshot();
-        let mut out = render(&self.metrics, &self.gauges(), &spans, &counters);
-        let fallbacks = counters.get("predictor_fallbacks").copied().unwrap_or(0);
-        out.push_str(&format!(
-            "# HELP ptmap_predictor_fallbacks_total Compiles that fell back to the \
-             analytical predictor because a GNN model failed to load.\n\
-             # TYPE ptmap_predictor_fallbacks_total counter\n\
-             ptmap_predictor_fallbacks_total {fallbacks}\n"
-        ));
-        if let Some(engine) = &self.learn {
-            out.push_str(&engine.render_metrics());
-        }
-        out
-    }
-}
-
-/// A handle for telling a running server to drain (tests and the
-/// binary's own wiring; external callers send SIGTERM).
-#[derive(Clone)]
-pub struct ServerHandle {
-    state: Arc<ServerState>,
-}
-
-impl ServerHandle {
-    /// Requests a graceful drain, as if SIGTERM arrived.
-    pub fn shutdown(&self) {
-        self.state.stop.store(true, Ordering::Release);
-    }
-
-    /// Rendered `/metrics` document (test convenience).
-    pub fn metrics_text(&self) -> String {
-        self.state.render_metrics()
     }
 }
 
@@ -212,21 +158,7 @@ pub struct Server {
     state: Arc<ServerState>,
 }
 
-/// Decrements the open-connection count (and wakes the drain waiter)
-/// when a handler thread exits, however it exits.
-struct ConnGuard {
-    state: Arc<ServerState>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let mut conns = lock_unpoisoned(&self.state.conns);
-        *conns = conns.saturating_sub(1);
-        self.state.conns_cv.notify_all();
-    }
-}
-
-/// Decrements the in-flight leader count even if the compile panics.
+/// Releases an in-flight leader slot even if the compile panics.
 struct InflightGuard<'a> {
     state: &'a ServerState,
 }
@@ -237,103 +169,11 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Builds a failure outcome in the same shape the pipeline produces,
-/// so every error a client sees — admission or compile — parses the
-/// same way.
-pub(crate) fn error_outcome(name: &str, class: &str, message: String) -> JobOutcome {
-    JobOutcome {
-        name: name.to_string(),
-        cache_hit: false,
-        report: None,
-        error: Some(message),
-        error_class: Some(class.to_string()),
-        degraded: None,
-        retries: 0,
-        trace_id: None,
-    }
-}
-
-/// HTTP status for a compile outcome.
-pub(crate) fn outcome_status(outcome: &JobOutcome) -> u16 {
-    if outcome.report.is_some() {
-        return 200;
-    }
-    match outcome.error_class.as_deref() {
-        Some("timeout") => 504,
-        Some("cancelled") | Some("overloaded") | Some("draining") => 503,
-        _ => 500,
-    }
-}
-
-fn outcome_response(outcome: &JobOutcome) -> Response {
-    let body = serde_json::to_string(outcome).unwrap_or_else(|_| "{}".to_string());
-    Response::json(outcome_status(outcome), body)
-}
-
-/// A structured 400: the human message plus a machine-readable reason
-/// (`bad-deadline`, `bad-quality`, `bad-spec`) so clients and the
-/// gateway can distinguish *which* input was malformed without string
-/// matching.
-fn bad_request(reason: &str, message: String) -> Response {
-    Response::json(
-        400,
-        format!("{{\"error\":{message:?},\"reason\":{reason:?}}}"),
-    )
-}
-
-/// Stamps a load-shedding 503 with the retry hint every rejected
-/// client needs: when to come back (`Retry-After`, seconds) — without
-/// it, a fleet of rejected clients retries immediately and the
-/// overload feeds itself.
-fn with_retry_after(resp: Response, seconds: u64) -> Response {
-    resp.with_header("Retry-After", seconds.max(1).to_string())
-}
-
 /// Attaches the compile's trace id to the response, if it has one.
 fn with_trace_header(resp: Response, outcome: &JobOutcome) -> Response {
     match &outcome.trace_id {
         Some(id) => resp.with_header("X-Ptmap-Trace-Id", id.clone()),
         None => resp,
-    }
-}
-
-/// The effective base config for one request: the server-wide default
-/// with the client's `X-Ptmap-Quality` backend override (if any)
-/// applied. The override is folded in *before* the request key is
-/// computed, so an exact-tier request never coalesces onto (or reads a
-/// cache entry from) a heuristic flight, and vice versa.
-fn effective_base(request: &Request, config: &ServeConfig) -> Result<PtMapConfig, String> {
-    let mut base = config.base.clone();
-    if let Some(raw) = request.header("x-ptmap-quality") {
-        base.mapper.backend = raw
-            .parse::<BackendKind>()
-            .map_err(|e| format!("bad X-Ptmap-Quality: {e}"))?;
-    }
-    Ok(base)
-}
-
-/// The per-flight compile configuration every leader runs under.
-fn leader_batch_config(
-    state: &ServerState,
-    base: PtMapConfig,
-    flight: &crate::coalesce::Flight,
-) -> BatchConfig {
-    BatchConfig {
-        workers: 1,
-        cache_dir: None,
-        base,
-        job_timeout: None,
-        budget: flight.budget.clone(),
-        max_retries: state.config.max_retries,
-        // File export is the batch CLI's sink; the daemon renders and
-        // retains traces itself (see `store_trace`).
-        trace: None,
-        // Online-learning ingest: observe-only, so it never perturbs
-        // compile results or cache keys.
-        tap: state
-            .learn
-            .as_ref()
-            .map(|l| std::sync::Arc::clone(l) as std::sync::Arc<dyn ptmap_eval::SampleTap>),
     }
 }
 
@@ -346,7 +186,11 @@ fn store_trace(state: &ServerState, tracer: &Tracer, force_keep: bool, wall: Dur
     let Some(trace) = tracer.finish() else {
         return;
     };
-    if force_keep || state.trace_policy().keep(&trace.trace_id, wall) {
+    let policy = SamplePolicy {
+        sample: state.config.trace_sample,
+        slow_ms: state.config.trace_slow_ms,
+    };
+    if force_keep || policy.keep(&trace.trace_id, wall) {
         state.traces.insert(trace);
         state.recorder.incr("traces_stored", 1);
     } else {
@@ -359,16 +203,16 @@ impl Server {
     /// falls back to memory-only (with a warning) if the directory
     /// cannot be created, mirroring `run_batch`.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        // Pin the start-time gauge and publish the event log early, so
-        // library code (pipeline cache warnings) reaches it too.
-        crate::metrics::process_start_seconds();
-        let log = Arc::new(EventLog::new("serve", config.log_level, config.log_format));
-        ptmap_trace::obs::install(Arc::clone(&log));
+        let (listener, core) = Core::bind(
+            "serve",
+            &config.addr,
+            config.log_level,
+            config.log_format,
+            config.drain_timeout,
+        )?;
         let cache = match &config.cache_dir {
             Some(dir) => ReportCache::with_dir(dir).unwrap_or_else(|e| {
-                log.warn(
+                core.log.warn(
                     "cache_dir_fallback",
                     None,
                     &format!("cache dir {}: {e}; falling back to memory", dir.display()),
@@ -378,28 +222,20 @@ impl Server {
             }),
             None => ReportCache::in_memory(),
         };
-        let queue_cap = config.queue_cap.max(1);
         let learn = match config.learn.clone() {
             Some(lc) => Some(Arc::new(LearnEngine::new(lc)?)),
             None => None,
         };
         let state = Arc::new(ServerState {
+            core,
             cache,
             learn,
-            log,
             recorder: Recorder::new(),
             coalescer: Arc::new(Coalescer::new()),
-            jobs: JobTable::new(queue_cap),
-            metrics: ServiceMetrics::new(),
+            jobs: JobTable::new(config.queue_cap.max(1)),
             traces: TraceStore::new(),
-            root: Budget::cancellable(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             workers_alive: AtomicUsize::new(0),
-            conns: Mutex::new(0),
-            conns_cv: Condvar::new(),
-            requests: AtomicU64::new(0),
             config,
         });
         Ok(Server { listener, state })
@@ -411,13 +247,11 @@ impl Server {
     }
 
     /// A shutdown/introspection handle usable from another thread.
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            state: Arc::clone(&self.state),
-        }
+    pub fn handle(&self) -> ServiceHandle {
+        ServiceHandle::new(&self.state)
     }
 
-    /// Serves until SIGTERM/SIGINT (or [`ServerHandle::shutdown`]),
+    /// Serves until SIGTERM/SIGINT (or [`ServiceHandle::shutdown`]),
     /// then drains and returns the lifetime summary.
     pub fn run(self) -> DrainSummary {
         let state = Arc::clone(&self.state);
@@ -452,11 +286,9 @@ impl Server {
             std::thread::Builder::new()
                 .name("ptmap-learn".to_string())
                 .spawn(move || loop {
-                    let stopping = state.stop.load(Ordering::Acquire)
-                        || signal::shutdown_requested()
-                        || state.draining.load(Ordering::Acquire);
+                    let stopping = state.core.stopping() || state.core.draining();
                     let tracer = Tracer::root("learn");
-                    let budget = state.root.scoped_child(None);
+                    let budget = state.core.root.scoped_child(None);
                     let t0 = Instant::now();
                     let report = engine.pump(&budget, &tracer);
                     // Lifecycle pumps (a training round or a verdict)
@@ -472,350 +304,280 @@ impl Server {
                 .expect("spawn learn trainer")
         });
 
-        // Accept loop: nonblocking so the shutdown flags are polled
-        // between accepts.
-        loop {
-            if state.stop.load(Ordering::Acquire) || signal::shutdown_requested() {
-                break;
+        let clean = crate::service::serve(self.listener, Arc::clone(&state), || {
+            for worker in workers {
+                let _ = worker.join();
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    *lock_unpoisoned(&state.conns) += 1;
-                    let state = Arc::clone(&state);
-                    let _ = std::thread::Builder::new()
-                        .name("ptmap-conn".to_string())
-                        .spawn(move || {
-                            let _guard = ConnGuard {
-                                state: Arc::clone(&state),
-                            };
-                            handle_connection(&state, stream);
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    state.log.warn(
-                        "accept_error",
-                        None,
-                        &format!("accept: {e}; continuing"),
-                        &[],
-                    );
-                    std::thread::sleep(Duration::from_millis(50));
-                }
+            if let Some(trainer) = trainer {
+                let _ = trainer.join();
             }
-        }
-
-        // Drain: stop accepting, let in-flight work finish, then
-        // cancel stragglers through the root budget.
-        drop(self.listener);
-        state.draining.store(true, Ordering::Release);
-        state.jobs.close();
-
-        let deadline = Instant::now() + state.config.drain_timeout;
-        let mut clean = wait_idle(&state, deadline);
-        if !clean {
-            state.log.warn(
-                "drain_timeout",
-                None,
-                "drain timeout elapsed; cancelling in-flight work",
-                &[(
-                    "timeout_s",
-                    AttrValue::UInt(state.config.drain_timeout.as_secs()),
-                )],
-            );
-            state.root.cancel();
-            state.coalescer.cancel_all();
-            // Cancellation is cooperative; give compiles a bounded
-            // window to observe it.
-            clean = wait_idle(&state, Instant::now() + Duration::from_secs(10));
-        }
-        for worker in workers {
-            let _ = worker.join();
-        }
-        if let Some(trainer) = trainer {
-            let _ = trainer.join();
-        }
-
-        // Flush the final metrics snapshot and the flight recorder
-        // where an operator (or the CI smoke test) can see them after
-        // the port is gone.
-        for (endpoint, count, p50, p95, p99) in state.metrics.latency_quantiles() {
-            state.log.info(
-                "latency",
-                None,
-                "",
-                &[
-                    ("endpoint", AttrValue::Str(endpoint)),
-                    ("count", AttrValue::UInt(count)),
-                    ("p50_s", AttrValue::Float(p50)),
-                    ("p95_s", AttrValue::Float(p95)),
-                    ("p99_s", AttrValue::Float(p99)),
-                ],
-            );
-        }
-        state.log.dump_to_stderr("drain");
-        eprintln!("--- final metrics ---\n{}", state.render_metrics());
-
+        });
         DrainSummary {
-            requests: state.metrics.requests_total(),
-            compiles: state.metrics.compiles_total(),
+            requests: state.core.metrics.requests_total(),
+            compiles: state.core.metrics.compiles_total(),
             coalesced: state.coalescer.coalesced_total(),
             clean,
         }
     }
 }
 
-/// Waits until no connection is open and no async job is queued or
-/// running, or `deadline` passes. Returns whether idle was reached.
-fn wait_idle(state: &ServerState, deadline: Instant) -> bool {
-    let mut conns = lock_unpoisoned(&state.conns);
-    loop {
-        if *conns == 0 && state.jobs.active() == 0 {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        // The condvar covers connection changes; job-table changes are
-        // picked up by the bounded wait.
-        let wait = (deadline - now).min(Duration::from_millis(50));
-        conns = state
-            .conns_cv
-            .wait_timeout(conns, wait)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
-    }
-}
-
-/// Reads, routes, answers, closes.
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
-    // A client that connects and never sends a full request must not
-    // pin a handler thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let request = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(HttpError::BadRequest(m)) => {
-            let resp = Response::json(400, format!("{{\"error\":{:?}}}", m));
-            let _ = write_response(&mut stream, &resp);
-            return;
-        }
-        Err(HttpError::TooLarge(m)) => {
-            let resp = Response::json(413, format!("{{\"error\":{:?}}}", m));
-            let _ = write_response(&mut stream, &resp);
-            return;
-        }
-        // The socket died mid-request; nobody is listening for errors.
-        Err(HttpError::Io(_)) => return,
-    };
-    let _ = stream.set_read_timeout(None);
-    state.requests.fetch_add(1, Ordering::Relaxed);
-
-    let t0 = Instant::now();
-    let (endpoint, response) = route(state, &request, &stream);
-    state
-        .metrics
-        .observe_request(endpoint, response.status, t0.elapsed());
-    let _ = write_response(&mut stream, &response);
-    // Wake any disconnect watcher still parked on the socket.
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Dispatches one request; returns the endpoint label (for metrics)
-/// and the response.
-fn route(
-    state: &Arc<ServerState>,
-    request: &Request,
-    stream: &TcpStream,
-) -> (&'static str, Response) {
-    // Split an attached query string off before matching, so
-    // `/jobs/<id>/trace?format=raw` routes like `/jobs/<id>/trace`.
-    let (path, query) = match request.path.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (request.path.as_str(), None),
-    };
-    match (request.method.as_str(), path) {
-        ("POST", "/compile") => ("compile", handle_compile(state, request, stream)),
-        ("POST", "/jobs") => ("jobs_submit", handle_submit(state, request)),
-        ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/trace") => {
-            ("jobs_trace", handle_trace(state, path, query))
-        }
-        ("GET", path) if path.starts_with("/jobs/") => ("jobs_poll", handle_poll(state, path)),
-        ("GET", "/metrics") => ("metrics", Response::text(200, state.render_metrics())),
-        ("GET", "/debug/events") => (
-            "debug_events",
-            crate::events::events_response(&state.log, query),
-        ),
-        ("GET", "/model") => ("model", handle_model(state)),
-        ("GET", "/healthz") => ("healthz", handle_healthz(state)),
-        (_, "/compile" | "/jobs" | "/metrics" | "/debug/events" | "/model" | "/healthz") => (
-            "other",
-            Response::json(405, "{\"error\":\"method not allowed\"}".to_string()),
-        ),
-        _ => (
-            "other",
-            Response::json(404, "{\"error\":\"not found\"}".to_string()),
-        ),
-    }
-}
-
-/// Parses the request body as a job spec.
-fn parse_spec(body: &[u8]) -> Result<JobSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    serde_json::from_str::<JobSpec>(text).map_err(|e| format!("job spec: {e}"))
-}
-
-/// The effective compile deadline for a request: the client's
-/// `X-Ptmap-Deadline-Ms`, capped by the server default.
-fn effective_timeout(request: &Request, config: &ServeConfig) -> Result<Duration, String> {
-    match request.header("x-ptmap-deadline-ms") {
-        None => Ok(config.default_timeout),
-        Some(raw) => {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|_| format!("bad X-Ptmap-Deadline-Ms {raw:?}"))?;
-            Ok(Duration::from_millis(ms).min(config.default_timeout))
-        }
-    }
-}
-
-/// `POST /compile`: admission check, coalesced compile, synchronous
-/// response.
-fn handle_compile(state: &Arc<ServerState>, request: &Request, stream: &TcpStream) -> Response {
-    if state.draining.load(Ordering::Acquire) {
-        state.metrics.reject("draining");
-        return with_retry_after(
-            outcome_response(&error_outcome(
-                "",
-                "draining",
-                "server is draining".to_string(),
-            )),
-            state.config.drain_timeout.as_secs(),
-        );
-    }
-    let spec = match parse_spec(&request.body) {
-        Ok(s) => s,
-        Err(e) => return bad_request("bad-spec", e),
-    };
-    let timeout = match effective_timeout(request, &state.config) {
-        Ok(t) => t,
-        Err(e) => return bad_request("bad-deadline", e),
-    };
-    let name = spec.name.clone().unwrap_or_else(|| spec.kernel.clone());
-
-    // Admission: the governor check runs before any resolution or
-    // queueing, so an already-expired deadline costs one branch.
-    let budget = state.root.scoped_child(Some(timeout));
-    if let Err(e) = budget.check() {
-        state.metrics.reject("deadline");
-        return outcome_response(&error_outcome(&name, e.class(), e.to_string()));
+impl Service for ServerState {
+    fn core(&self) -> &Core {
+        &self.core
     }
 
-    let job = match Job::resolve(&spec) {
-        Ok(j) => j,
-        Err(e) => return bad_request("bad-spec", e),
-    };
-    let base = match effective_base(request, &state.config) {
-        Ok(b) => b,
-        Err(e) => return bad_request("bad-quality", e),
-    };
-    let quality = base.mapper.backend;
-    let key = request_key(&job, &base);
+    fn metrics_text(&self, _live: bool) -> String {
+        let (spans, counters) = self.recorder.snapshot();
+        let mut out = render(&self.core.metrics, &self.gauges(), &spans, &counters);
+        let fallbacks = counters.get("predictor_fallbacks").copied().unwrap_or(0);
+        out.push_str(&format!(
+            "# HELP ptmap_predictor_fallbacks_total Compiles that fell back to the \
+             analytical predictor because a GNN model failed to load.\n\
+             # TYPE ptmap_predictor_fallbacks_total counter\n\
+             ptmap_predictor_fallbacks_total {fallbacks}\n"
+        ));
+        if let Some(engine) = &self.learn {
+            out.push_str(&engine.render_metrics());
+        }
+        out
+    }
 
-    // A client-supplied trace id is adopted verbatim (and force-keeps
-    // the trace — the client asked for this one by name); otherwise
-    // the leader mints one.
-    let client_trace_id = request.header("x-ptmap-trace-id").map(str::to_string);
-
-    match state.coalescer.join(&key, || budget.clone()) {
-        Join::Leader(flight) => {
-            // Capacity gate applies to new flights only — followers
-            // ride along for free.
-            let previous = state.inflight.fetch_add(1, Ordering::AcqRel);
-            let guard = InflightGuard { state };
-            if previous >= state.config.max_inflight {
-                drop(guard);
-                state.metrics.reject("capacity");
-                let outcome = error_outcome(
-                    &job.name,
-                    "overloaded",
-                    format!(
-                        "{} compiles already in flight (max {})",
-                        previous, state.config.max_inflight
-                    ),
-                );
-                state.coalescer.complete(&key, &flight, outcome.clone());
-                // Capacity pressure is transient: tell the client when
-                // to retry instead of letting it hammer the gate.
-                return with_retry_after(outcome_response(&outcome), 1);
-            }
-            let _watcher = spawn_disconnect_watcher(state, stream, &flight);
-            let t0 = Instant::now();
-            let tracer = match &client_trace_id {
-                Some(id) => Tracer::root_with_id(&job.name, id.clone()),
-                None => Tracer::root(&job.name),
-            };
-            let (outcome, _job_metrics) = compile_job_traced(
-                &job,
-                &leader_batch_config(state, base, &flight),
-                &state.cache,
-                &state.recorder,
-                &tracer,
+    /// `POST /compile`: admission check, coalesced compile, synchronous
+    /// response.
+    fn compile(&self, request: &Request, stream: &TcpStream) -> Response {
+        if self.core.draining() {
+            self.core.metrics.reject("draining");
+            return with_retry_after(
+                outcome_response(&error_outcome(
+                    "",
+                    "draining",
+                    "server is draining".to_string(),
+                )),
+                self.config.drain_timeout.as_secs(),
             );
-            drop(guard);
-            // A cache hit never started a mapper run; the compile
-            // counter tracks real underlying compiles.
-            if !outcome.cache_hit {
-                state.metrics.compile_started();
-            }
-            // Retain the trace *before* publishing the outcome, so a
-            // follower acting on the outcome's trace id finds it.
-            store_trace(state, &tracer, client_trace_id.is_some(), t0.elapsed());
-            state.log.info(
-                "compile",
-                outcome.trace_id.as_deref(),
-                "",
-                &[
-                    ("name", AttrValue::Str(job.name.clone())),
-                    (
-                        "status",
-                        AttrValue::UInt(u64::from(outcome_status(&outcome))),
-                    ),
-                    ("cache_hit", AttrValue::Bool(outcome.cache_hit)),
-                    ("retries", AttrValue::UInt(u64::from(outcome.retries))),
-                    ("seconds", AttrValue::Float(t0.elapsed().as_secs_f64())),
-                ],
-            );
-            state.coalescer.complete(&key, &flight, outcome.clone());
-            with_trace_header(outcome_response(&outcome), &outcome)
-                .with_header("X-Ptmap-Quality", quality.as_str().to_string())
         }
-        Join::Follower(flight) => {
-            let settled = spawn_disconnect_watcher(state, stream, &flight);
-            let result = flight.wait(budget.deadline());
-            let already_settled = settled.swap(true, Ordering::AcqRel);
-            match result {
-                Some(outcome) => with_trace_header(outcome_response(&outcome), &outcome)
-                    .with_header("X-Ptmap-Quality", quality.as_str().to_string())
-                    .with_header("X-Ptmap-Coalesced", "1".to_string()),
-                None => {
-                    // Own deadline expired while the leader was still
-                    // compiling; stop counting as an audience member.
-                    if !already_settled {
-                        state.coalescer.detach(&flight);
-                    }
-                    state.metrics.reject("deadline");
-                    outcome_response(&error_outcome(
+        let parsed = self
+            .core
+            .parse_job(request, &self.config.base, self.config.default_timeout);
+        let (job, base, key, budget) = match parsed {
+            Ok(r) => (r.job, r.base, r.key, r.budget),
+            Err(resp) => return resp,
+        };
+        let quality = base.mapper.backend;
+
+        match self.coalescer.join(&key, || budget.clone()) {
+            Join::Leader(flight) => {
+                // Capacity gate applies to new flights only — followers
+                // ride along for free.
+                let previous = self.inflight.fetch_add(1, Ordering::AcqRel);
+                if previous >= self.config.max_inflight {
+                    self.inflight.fetch_sub(1, Ordering::AcqRel);
+                    self.core.metrics.reject("capacity");
+                    let outcome = error_outcome(
                         &job.name,
-                        "timeout",
-                        "deadline expired while waiting for in-flight compile".to_string(),
-                    ))
-                    .with_header("X-Ptmap-Coalesced", "1".to_string())
+                        "overloaded",
+                        format!(
+                            "{} compiles already in flight (max {})",
+                            previous, self.config.max_inflight
+                        ),
+                    );
+                    self.coalescer.complete(&key, &flight, outcome.clone());
+                    // Capacity pressure is transient: tell the client when
+                    // to retry instead of letting it hammer the gate.
+                    return with_retry_after(outcome_response(&outcome), 1);
+                }
+                let _watcher = spawn_disconnect_watcher(self, stream, &flight);
+                let trace_id = request.header("x-ptmap-trace-id");
+                let outcome = lead(self, &job, base, &key, &flight, trace_id, false);
+                with_trace_header(outcome_response(&outcome), &outcome)
+                    .with_header("X-Ptmap-Quality", quality.as_str().to_string())
+            }
+            Join::Follower(flight) => {
+                let settled = spawn_disconnect_watcher(self, stream, &flight);
+                let result = flight.wait(budget.deadline());
+                let already_settled = settled.swap(true, Ordering::AcqRel);
+                match result {
+                    Some(outcome) => with_trace_header(outcome_response(&outcome), &outcome)
+                        .with_header("X-Ptmap-Quality", quality.as_str().to_string())
+                        .with_header("X-Ptmap-Coalesced", "1".to_string()),
+                    None => {
+                        // Own deadline expired while the leader was still
+                        // compiling; stop counting as an audience member.
+                        if !already_settled {
+                            self.coalescer.detach(&flight);
+                        }
+                        self.core.metrics.reject("deadline");
+                        outcome_response(&error_outcome(
+                            &job.name,
+                            "timeout",
+                            "deadline expired while waiting for in-flight compile".to_string(),
+                        ))
+                        .with_header("X-Ptmap-Coalesced", "1".to_string())
+                    }
                 }
             }
         }
+    }
+
+    /// `POST /jobs`: bounded async submission.
+    ///
+    /// The compile itself runs later under server defaults, but the
+    /// request headers are validated *now*: a malformed
+    /// `X-Ptmap-Deadline-Ms` or `X-Ptmap-Quality` used to be silently
+    /// ignored here (unlike `/compile`, which rejects it), so a client
+    /// with a typo'd header got a `202` and no signal that its header did
+    /// nothing. Malformed values are a structured `400` at submission;
+    /// well-formed values are accepted (the async path runs under server
+    /// defaults either way, which the docs state).
+    fn submit(&self, request: &Request) -> Response {
+        let parsed = parse_headers(request, &self.config.base, self.config.default_timeout)
+            .and_then(|_| parse_spec(&request.body));
+        let spec = match parsed {
+            Ok(s) => s,
+            Err(resp) => return resp,
+        };
+        match self.jobs.submit(spec) {
+            Ok(id) => Response::json(202, format!("{{\"id\":{id},\"state\":\"queued\"}}")),
+            Err(SubmitError::Full) => {
+                self.core.metrics.reject("queue-full");
+                with_retry_after(
+                    Response::json(
+                        503,
+                        format!(
+                            "{{\"error\":\"queue full ({} jobs)\",\"reason\":\"queue-full\"}}",
+                            self.config.queue_cap.max(1)
+                        ),
+                    ),
+                    1,
+                )
+            }
+            Err(SubmitError::Draining) => {
+                self.core.metrics.reject("draining");
+                with_retry_after(
+                    Response::json(
+                        503,
+                        "{\"error\":\"server is draining\",\"reason\":\"draining\"}".to_string(),
+                    ),
+                    self.config.drain_timeout.as_secs(),
+                )
+            }
+        }
+    }
+
+    /// `GET /jobs/<id>`: poll an async job.
+    fn poll(&self, id: u64) -> Response {
+        let Some(status) = self.jobs.status(id) else {
+            return error_response(404, &format!("no job {id}"));
+        };
+        let mut fields = vec![
+            ("id".to_string(), Value::UInt(id)),
+            ("state".to_string(), Value::Str(status.name().to_string())),
+        ];
+        if let JobState::Done(outcome) = &status {
+            let value = serde_json::to_value(outcome.as_ref()).unwrap_or(Value::Null);
+            fields.push(("outcome".to_string(), value));
+        }
+        let body =
+            serde_json::to_string(&Value::Object(fields)).unwrap_or_else(|_| "{}".to_string());
+        Response::json(200, body)
+    }
+
+    /// `GET /jobs/<id>/trace`: the retained trace for a compile.
+    ///
+    /// `<id>` is either a numeric async-job id — resolved to a trace id
+    /// through the job table's completed outcome — or a trace id taken
+    /// from an `X-Ptmap-Trace-Id` response header. The default rendering
+    /// is Chrome trace-event JSON; `?format=raw` returns the serialized
+    /// span tree instead, which is what the gateway fetches to stitch a
+    /// cluster-wide trace.
+    fn trace(&self, id_text: &str, raw: bool) -> Response {
+        // An exact trace-id match wins (it is unambiguous even when the id
+        // happens to be all digits); numeric ids then resolve through the
+        // async job table.
+        let trace_id = match self.traces.by_trace_id(id_text) {
+            Some(_) => id_text.to_string(),
+            None => match id_text.parse::<u64>() {
+                Err(_) => id_text.to_string(),
+                Ok(job_id) => match self.jobs.status(job_id) {
+                    None => return error_response(404, &format!("no job {job_id}")),
+                    Some(JobState::Done(outcome)) => match outcome.trace_id {
+                        Some(id) => id,
+                        None => return error_response(404, &format!("job {job_id} has no trace")),
+                    },
+                    Some(_) => {
+                        return error_response(404, &format!("job {job_id} is not done yet"))
+                    }
+                },
+            },
+        };
+        match self.traces.by_trace_id(&trace_id) {
+            Some(stored) => {
+                let body = if raw {
+                    serde_json::to_string(stored.raw.as_ref()).unwrap_or_else(|_| "{}".to_string())
+                } else {
+                    stored.chrome_json.as_ref().clone()
+                };
+                Response::json(200, body).with_header("X-Ptmap-Trace-Id", stored.trace_id)
+            }
+            None => error_response(404, &format!("no trace {trace_id}")),
+        }
+    }
+
+    fn extra_path(&self) -> &'static str {
+        "/model"
+    }
+
+    /// `GET /model`: the online-learning engine's state — serving model
+    /// version, sample/training/promotion counters, live MAPE, and any
+    /// in-flight shadow window. `404` when `--learn` is off.
+    fn extra(&self) -> Response {
+        match &self.learn {
+            Some(engine) => Response::json(200, engine.status_json()),
+            None => error_response(404, "online learning disabled (start with --learn)"),
+        }
+    }
+
+    /// `GET /healthz`: readiness.
+    fn healthz(&self) -> Response {
+        // Workers configured but all dead means async submissions would
+        // queue forever.
+        if self.config.workers > 0 && self.workers_alive.load(Ordering::Acquire) == 0 {
+            return Response::json(503, "{\"status\":\"no workers alive\"}".to_string());
+        }
+        // The disk cache must stay writable; probe with a real write.
+        if let Some(dir) = self.cache.dir() {
+            let probe = dir.join(".healthz-probe");
+            if std::fs::write(&probe, b"ok").is_err() {
+                return Response::json(
+                    503,
+                    format!(
+                        "{{\"status\":\"cache dir {} not writable\"}}",
+                        dir.display()
+                    ),
+                );
+            }
+            let _ = std::fs::remove_file(&probe);
+        }
+        Response::json(200, "{\"status\":\"ok\"}".to_string())
+    }
+
+    fn summary(&self) -> Vec<(&'static str, AttrValue)> {
+        vec![
+            ("compiles", self.core.metrics.compiles_total().into()),
+            ("coalesced", self.coalescer.coalesced_total().into()),
+        ]
+    }
+
+    fn busy(&self) -> bool {
+        self.jobs.active() > 0
+    }
+
+    fn begin_drain(&self) {
+        self.jobs.close();
+    }
+
+    fn cancel(&self) {
+        self.coalescer.cancel_all();
     }
 }
 
@@ -825,9 +587,9 @@ fn handle_compile(state: &Arc<ServerState>, request: &Request, stream: &TcpStrea
 /// the detach: whichever side (watcher on EOF, handler on finish)
 /// swaps it first owns the waiter slot.
 fn spawn_disconnect_watcher(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     stream: &TcpStream,
-    flight: &Arc<crate::coalesce::Flight>,
+    flight: &Arc<Flight>,
 ) -> Arc<AtomicBool> {
     let settled = Arc::new(AtomicBool::new(false));
     let Ok(mut watch) = stream.try_clone() else {
@@ -859,10 +621,75 @@ fn spawn_disconnect_watcher(
     settled
 }
 
-/// Leader half of a compile, shared by the HTTP path and the async
-/// workers... the async variant: resolve, coalesce, compile, no
-/// disconnect watcher (the submitter polls; nobody is on a socket).
-fn run_async_job(state: &Arc<ServerState>, spec: &JobSpec) -> JobOutcome {
+/// The leader half of a flight, shared by `/compile` and the async
+/// workers. The caller has taken an in-flight slot; this releases it
+/// once the compile ends, even by panic. The trace is retained *before*
+/// the outcome is published, so a follower or poller acting on the
+/// outcome's trace id finds it. A client-supplied `trace_id` is adopted
+/// verbatim and force-keeps the trace (the client asked for this one
+/// by name); otherwise the leader mints one.
+fn lead(
+    state: &ServerState,
+    job: &Job,
+    base: PtMapConfig,
+    key: &str,
+    flight: &Flight,
+    trace_id: Option<&str>,
+    is_async: bool,
+) -> JobOutcome {
+    let guard = InflightGuard { state };
+    let t0 = Instant::now();
+    let tracer = match trace_id {
+        Some(id) => Tracer::root_with_id(&job.name, id.to_string()),
+        None => Tracer::root(&job.name),
+    };
+    let config = BatchConfig {
+        workers: 1,
+        cache_dir: None,
+        base,
+        job_timeout: None,
+        budget: flight.budget.clone(),
+        max_retries: state.config.max_retries,
+        // File export is the batch CLI's sink; the daemon renders and
+        // retains traces itself (see `store_trace`).
+        trace: None,
+        // Online-learning ingest: observe-only, so it never perturbs
+        // compile results or cache keys.
+        tap: state
+            .learn
+            .as_ref()
+            .map(|l| Arc::clone(l) as Arc<dyn ptmap_eval::SampleTap>),
+    };
+    let (outcome, _metrics) =
+        compile_job_traced(job, &config, &state.cache, &state.recorder, &tracer);
+    drop(guard);
+    // A cache hit never started a mapper run; the compile counter
+    // tracks real underlying compiles.
+    if !outcome.cache_hit {
+        state.core.metrics.compile_started();
+    }
+    store_trace(state, &tracer, trace_id.is_some(), t0.elapsed());
+    let mut fields = vec![
+        ("name", AttrValue::Str(job.name.clone())),
+        ("status", u64::from(outcome_status(&outcome)).into()),
+        ("cache_hit", outcome.cache_hit.into()),
+        ("retries", u64::from(outcome.retries).into()),
+    ];
+    if is_async {
+        fields.push(("async", true.into()));
+    }
+    fields.push(("seconds", t0.elapsed().as_secs_f64().into()));
+    state
+        .core
+        .log
+        .info("compile", outcome.trace_id.as_deref(), "", &fields);
+    state.coalescer.complete(key, flight, outcome.clone());
+    outcome
+}
+
+/// An async job: resolve, coalesce, compile under server defaults. No
+/// disconnect watcher: the submitter polls; nobody is on a socket.
+fn run_async_job(state: &ServerState, spec: &JobSpec) -> JobOutcome {
     let job = match Job::resolve(spec) {
         Ok(j) => j,
         Err(e) => {
@@ -870,46 +697,16 @@ fn run_async_job(state: &Arc<ServerState>, spec: &JobSpec) -> JobOutcome {
             return error_outcome(&name, "error", e);
         }
     };
-    let budget = state.root.scoped_child(Some(state.config.default_timeout));
+    let budget = state
+        .core
+        .root
+        .scoped_child(Some(state.config.default_timeout));
     let key = request_key(&job, &state.config.base);
     match state.coalescer.join(&key, || budget.clone()) {
         Join::Leader(flight) => {
             state.inflight.fetch_add(1, Ordering::AcqRel);
-            let guard = InflightGuard { state };
-            let t0 = Instant::now();
-            let tracer = Tracer::root(&job.name);
-            let (outcome, _metrics) = compile_job_traced(
-                &job,
-                &leader_batch_config(state, state.config.base.clone(), &flight),
-                &state.cache,
-                &state.recorder,
-                &tracer,
-            );
-            drop(guard);
-            if !outcome.cache_hit {
-                state.metrics.compile_started();
-            }
-            // Retain before publishing, as in the synchronous path: a
-            // poller that sees `done` must find the trace.
-            store_trace(state, &tracer, false, t0.elapsed());
-            state.log.info(
-                "compile",
-                outcome.trace_id.as_deref(),
-                "",
-                &[
-                    ("name", AttrValue::Str(job.name.clone())),
-                    (
-                        "status",
-                        AttrValue::UInt(u64::from(outcome_status(&outcome))),
-                    ),
-                    ("cache_hit", AttrValue::Bool(outcome.cache_hit)),
-                    ("retries", AttrValue::UInt(u64::from(outcome.retries))),
-                    ("async", AttrValue::Bool(true)),
-                    ("seconds", AttrValue::Float(t0.elapsed().as_secs_f64())),
-                ],
-            );
-            state.coalescer.complete(&key, &flight, outcome.clone());
-            outcome
+            let base = state.config.base.clone();
+            lead(state, &job, base, &key, &flight, None, true)
         }
         Join::Follower(flight) => match flight.wait(budget.deadline()) {
             Some(outcome) => outcome,
@@ -923,176 +720,4 @@ fn run_async_job(state: &Arc<ServerState>, spec: &JobSpec) -> JobOutcome {
             }
         },
     }
-}
-
-/// `POST /jobs`: bounded async submission.
-///
-/// The compile itself runs later under server defaults, but the
-/// request headers are validated *now*: a malformed
-/// `X-Ptmap-Deadline-Ms` or `X-Ptmap-Quality` used to be silently
-/// ignored here (unlike `/compile`, which rejects it), so a client
-/// with a typo'd header got a `202` and no signal that its header did
-/// nothing. Malformed values are a structured `400` at submission;
-/// well-formed values are accepted (the async path runs under server
-/// defaults either way, which the docs state).
-fn handle_submit(state: &Arc<ServerState>, request: &Request) -> Response {
-    if let Err(e) = effective_timeout(request, &state.config) {
-        return bad_request("bad-deadline", e);
-    }
-    if let Err(e) = effective_base(request, &state.config) {
-        return bad_request("bad-quality", e);
-    }
-    let spec = match parse_spec(&request.body) {
-        Ok(s) => s,
-        Err(e) => return bad_request("bad-spec", e),
-    };
-    match state.jobs.submit(spec) {
-        Ok(id) => Response::json(202, format!("{{\"id\":{id},\"state\":\"queued\"}}")),
-        Err(SubmitError::Full) => {
-            state.metrics.reject("queue-full");
-            with_retry_after(
-                Response::json(
-                    503,
-                    format!(
-                        "{{\"error\":\"queue full ({} jobs)\",\"reason\":\"queue-full\"}}",
-                        state.config.queue_cap.max(1)
-                    ),
-                ),
-                1,
-            )
-        }
-        Err(SubmitError::Draining) => {
-            state.metrics.reject("draining");
-            with_retry_after(
-                Response::json(
-                    503,
-                    "{\"error\":\"server is draining\",\"reason\":\"draining\"}".to_string(),
-                ),
-                state.config.drain_timeout.as_secs(),
-            )
-        }
-    }
-}
-
-/// `GET /jobs/<id>`: poll an async job.
-fn handle_poll(state: &Arc<ServerState>, path: &str) -> Response {
-    let id_text = &path["/jobs/".len()..];
-    let Ok(id) = id_text.parse::<u64>() else {
-        return Response::json(400, format!("{{\"error\":\"bad job id {id_text:?}\"}}"));
-    };
-    match state.jobs.status(id) {
-        None => Response::json(404, format!("{{\"error\":\"no job {id}\"}}")),
-        Some(status) => {
-            let mut fields = vec![
-                ("id".to_string(), Value::UInt(id)),
-                ("state".to_string(), Value::Str(status.name().to_string())),
-            ];
-            if let JobState::Done(outcome) = &status {
-                match serde_json::to_value(outcome.as_ref()) {
-                    Ok(v) => fields.push(("outcome".to_string(), v)),
-                    Err(_) => fields.push(("outcome".to_string(), Value::Null)),
-                }
-            }
-            let body =
-                serde_json::to_string(&Value::Object(fields)).unwrap_or_else(|_| "{}".to_string());
-            let status_code = 200;
-            Response::json(status_code, body)
-        }
-    }
-}
-
-/// `GET /jobs/<id>/trace`: the retained trace for a compile.
-///
-/// `<id>` is either a numeric async-job id — resolved to a trace id
-/// through the job table's completed outcome — or a trace id taken
-/// from an `X-Ptmap-Trace-Id` response header. The default rendering
-/// is Chrome trace-event JSON; `?format=raw` returns the serialized
-/// span tree instead, which is what the gateway fetches to stitch a
-/// cluster-wide trace.
-fn handle_trace(state: &Arc<ServerState>, path: &str, query: Option<&str>) -> Response {
-    let id_text = &path["/jobs/".len()..path.len() - "/trace".len()];
-    // An exact trace-id match wins (it is unambiguous even when the id
-    // happens to be all digits); numeric ids then resolve through the
-    // async job table.
-    let trace_id = match state.traces.by_trace_id(id_text) {
-        Some(_) => id_text.to_string(),
-        None => match id_text.parse::<u64>() {
-            Err(_) => id_text.to_string(),
-            Ok(job_id) => match state.jobs.status(job_id) {
-                None => return Response::json(404, format!("{{\"error\":\"no job {job_id}\"}}")),
-                Some(JobState::Done(outcome)) => match outcome.trace_id {
-                    Some(id) => id,
-                    None => {
-                        return Response::json(
-                            404,
-                            format!("{{\"error\":\"job {job_id} has no trace\"}}"),
-                        )
-                    }
-                },
-                Some(_) => {
-                    return Response::json(
-                        404,
-                        format!("{{\"error\":\"job {job_id} is not done yet\"}}"),
-                    )
-                }
-            },
-        },
-    };
-    let raw = query
-        .map(|q| q.split('&').any(|kv| kv == "format=raw"))
-        .unwrap_or(false);
-    match state.traces.by_trace_id(&trace_id) {
-        Some(stored) => {
-            let body = if raw {
-                serde_json::to_string(stored.raw.as_ref()).unwrap_or_else(|_| "{}".to_string())
-            } else {
-                stored.chrome_json.as_ref().clone()
-            };
-            Response::json(200, body).with_header("X-Ptmap-Trace-Id", stored.trace_id)
-        }
-        None => Response::json(
-            404,
-            format!("{{\"error\":{:?}}}", format!("no trace {trace_id}")),
-        ),
-    }
-}
-
-/// `GET /model`: the online-learning engine's state — serving model
-/// version, sample/training/promotion counters, live MAPE, and any
-/// in-flight shadow window. `404` when `--learn` is off.
-fn handle_model(state: &Arc<ServerState>) -> Response {
-    match &state.learn {
-        Some(engine) => Response::json(200, engine.status_json()),
-        None => Response::json(
-            404,
-            "{\"error\":\"online learning disabled (start with --learn)\"}".to_string(),
-        ),
-    }
-}
-
-/// `GET /healthz`: readiness.
-fn handle_healthz(state: &Arc<ServerState>) -> Response {
-    if state.draining.load(Ordering::Acquire) {
-        return Response::json(503, "{\"status\":\"draining\"}".to_string());
-    }
-    // Workers configured but all dead means async submissions would
-    // queue forever.
-    if state.config.workers > 0 && state.workers_alive.load(Ordering::Acquire) == 0 {
-        return Response::json(503, "{\"status\":\"no workers alive\"}".to_string());
-    }
-    // The disk cache must stay writable; probe with a real write.
-    if let Some(dir) = state.cache.dir() {
-        let probe = dir.join(".healthz-probe");
-        if std::fs::write(&probe, b"ok").is_err() {
-            return Response::json(
-                503,
-                format!(
-                    "{{\"status\":\"cache dir {} not writable\"}}",
-                    dir.display()
-                ),
-            );
-        }
-        let _ = std::fs::remove_file(&probe);
-    }
-    Response::json(200, "{\"status\":\"ok\"}".to_string())
 }

@@ -250,6 +250,23 @@ fn gateway_bad_flags_exit_two() {
             "--speculate",
             "auto",
         ],
+        // Removed knobs: hedging, the stitched-trace export, the
+        // backoff step (now a fixed 25 ms).
+        &[
+            "gateway",
+            "--peers",
+            "127.0.0.1:7100",
+            "--hedge-after-ms",
+            "5",
+        ],
+        &[
+            "gateway",
+            "--peers",
+            "127.0.0.1:7100",
+            "--trace-dir",
+            "/tmp/x",
+        ],
+        &["gateway", "--peers", "127.0.0.1:7100", "--backoff-ms", "10"],
     ];
     for args in cases {
         let out = ptmap().args(*args).output().unwrap();

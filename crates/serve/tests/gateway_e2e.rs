@@ -11,8 +11,8 @@
 use ptmap_governor::faultpoint;
 use ptmap_serve::metrics::check_prometheus_text;
 use ptmap_serve::{
-    run_loadtest, DrainSummary, Gateway, GatewayConfig, GatewayHandle, GatewaySummary,
-    LoadtestConfig, ServeConfig, Server, ServerHandle,
+    run_loadtest, DrainSummary, Gateway, GatewayConfig, GatewaySummary, LoadtestConfig,
+    ServeConfig, Server, ServiceHandle,
 };
 use ptmap_trace::AttrValue;
 use serde_json::Value;
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// One in-process daemon.
 struct Daemon {
     addr: SocketAddr,
-    handle: ServerHandle,
+    handle: ServiceHandle,
     runner: std::thread::JoinHandle<DrainSummary>,
 }
 
@@ -55,7 +55,7 @@ impl Daemon {
 /// (fast) probe and breaker settings.
 struct Gw {
     addr: SocketAddr,
-    handle: GatewayHandle,
+    handle: ServiceHandle,
     runner: std::thread::JoinHandle<GatewaySummary>,
 }
 
@@ -297,19 +297,24 @@ fn gateway_rejects_malformed_headers_before_forwarding() {
         );
     }
 
-    // Unroutable bodies are client errors, not forwards.
-    assert_eq!(http(gw.addr, "POST", "/compile", &[], "{ nope").status, 400);
-    assert_eq!(
-        http(
-            gw.addr,
-            "POST",
-            "/compile",
-            &[],
-            "{\"kernel\":\"nope:1\",\"arch\":\"S4\"}"
-        )
-        .status,
-        400
-    );
+    // Unroutable bodies are client errors, not forwards, with the same
+    // structured reason the daemon gives.
+    for body in ["{ nope", "{\"kernel\":\"nope:1\",\"arch\":\"S4\"}"] {
+        let bad_spec = http(gw.addr, "POST", "/compile", &[], body);
+        assert_eq!(bad_spec.status, 400, "{}", bad_spec.body);
+        assert!(
+            bad_spec.body.contains("\"reason\":\"bad-spec\""),
+            "{}",
+            bad_spec.body
+        );
+    }
+
+    // A trace path without an id is a JSON 404, not a handler panic.
+    for path in ["/jobs/trace", "/jobs//trace"] {
+        let reply = http(gw.addr, "GET", path, &[], "");
+        assert_eq!(reply.status, 404, "{path}: {}", reply.body);
+        assert!(reply.body.contains("\"error\""), "{path}: {}", reply.body);
+    }
 
     gw.stop();
     daemon.stop();

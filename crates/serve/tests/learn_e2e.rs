@@ -6,7 +6,7 @@
 use ptmap_gnn::{ModelConfig, TrainConfig};
 use ptmap_learn::LearnConfig;
 use ptmap_serve::metrics::check_prometheus_text;
-use ptmap_serve::{DrainSummary, ServeConfig, Server, ServerHandle};
+use ptmap_serve::{DrainSummary, ServeConfig, Server, ServiceHandle};
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,7 +18,7 @@ fn boot(
     config: ServeConfig,
 ) -> (
     SocketAddr,
-    ServerHandle,
+    ServiceHandle,
     std::thread::JoinHandle<DrainSummary>,
 ) {
     let config = ServeConfig {

@@ -2,12 +2,12 @@
 //! admission control, drain, and the metrics contract.
 //!
 //! Most tests boot the server in-process (ephemeral port, shutdown via
-//! [`ServerHandle`]); the SIGTERM test spawns the real binary so the
+//! [`ServiceHandle`]); the SIGTERM test spawns the real binary so the
 //! signal path and exit code are exercised for real.
 
 use ptmap_governor::faultpoint;
 use ptmap_serve::metrics::check_prometheus_text;
-use ptmap_serve::{DrainSummary, ServeConfig, Server, ServerHandle};
+use ptmap_serve::{DrainSummary, ServeConfig, Server, ServiceHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -17,7 +17,7 @@ fn boot(
     config: ServeConfig,
 ) -> (
     SocketAddr,
-    ServerHandle,
+    ServiceHandle,
     std::thread::JoinHandle<DrainSummary>,
 ) {
     let config = ServeConfig {
@@ -660,6 +660,12 @@ fn bad_requests_and_unknown_routes() {
     assert_eq!(http(addr, "GET", "/compile", &[], "").status, 405);
     assert_eq!(http(addr, "DELETE", "/jobs", &[], "").status, 405);
     assert_eq!(http(addr, "GET", "/", &[], "").status, 404);
+    // A trace path without an id is a JSON 404, not a handler panic.
+    for path in ["/jobs/trace", "/jobs//trace"] {
+        let reply = http(addr, "GET", path, &[], "");
+        assert_eq!(reply.status, 404, "{path}: {}", reply.body);
+        assert!(reply.body.contains("\"error\""), "{path}: {}", reply.body);
+    }
     handle.shutdown();
     runner.join().unwrap();
 }
