@@ -8,7 +8,7 @@
 //! drive a full train→shadow→promote lifecycle without threads.
 
 use crate::sample::{LiveSample, PendingQueue};
-use crate::shadow::{verdict, ModelEval, ERROR_BUCKETS};
+use crate::shadow::{verdict, ModelEval};
 use crate::store::ModelStore;
 use crate::{lock_unpoisoned, LearnConfig};
 use ptmap_arch::CgraArch;
@@ -17,6 +17,7 @@ use ptmap_gnn::{build_input, fine_tune, PtMapGnn, Sample, TrainConfig};
 use ptmap_governor::budget::Budget;
 use ptmap_ir::dfg::Dfg;
 use ptmap_pipeline::hash::sha256_hex;
+use ptmap_trace::prom::{Exposition, Kind};
 use ptmap_trace::{learn_events, Tracer};
 use serde::Serialize;
 use std::io::{self, Write as _};
@@ -97,7 +98,7 @@ pub struct LearnStatus {
     pub snapshot_quarantines: u64,
     /// Lifetime serving-model quality.
     pub serving_mape: f64,
-    pub serving_used: usize,
+    pub serving_used: u64,
     pub serving_skipped: usize,
     /// Shadow window in flight, if any.
     pub shadow: Option<ShadowStatus>,
@@ -235,7 +236,12 @@ impl LearnEngine {
                     model: shadow.candidate,
                 });
                 if let Err(e) = self.store.persist(next, &promoted.model) {
-                    eprintln!("warning: model snapshot v{next} not persisted: {e}");
+                    ptmap_trace::obs::logger().warn(
+                        "snapshot_not_persisted",
+                        None,
+                        &format!("model snapshot v{next} not persisted: {e}"),
+                        &[("version", next.into())],
+                    );
                 }
                 *self
                     .serving
@@ -383,7 +389,7 @@ impl LearnEngine {
             rejections: self.rejections.load(Ordering::Relaxed),
             snapshot_quarantines: self.store.quarantines(),
             serving_mape: state.serving_eval.mape(),
-            serving_used: state.serving_eval.used,
+            serving_used: state.serving_eval.used(),
             serving_skipped: state.serving_eval.skipped,
             shadow: state.shadow.as_ref().map(|s| ShadowStatus {
                 scored: s.candidate_eval.scored,
@@ -400,127 +406,93 @@ impl LearnEngine {
         serde_json::to_string_pretty(&self.status()).expect("status serializes")
     }
 
-    /// Prometheus text for the learning subsystem; the caller splices
-    /// this into the daemon's `/metrics` body.
-    pub fn render_metrics(&self) -> String {
+    /// Writes the learning subsystem's series into the daemon's
+    /// `/metrics` document.
+    pub fn expose_metrics(&self, w: &mut Exposition) {
         let status = self.status();
         let state = lock_unpoisoned(&self.state);
-        let mut out = String::new();
-        {
-            let mut gauge = |name: &str, help: &str, value: f64| {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-                ));
-            };
-            gauge(
-                "ptmap_model_version",
-                "Version of the serving learned cost model.",
-                status.version as f64,
-            );
-            gauge(
-                "ptmap_learn_pending_samples",
-                "Live samples queued for the trainer.",
-                status.pending as f64,
-            );
-        }
-        {
-            let mut counter = |name: &str, help: &str, value: u64| {
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-                ));
-            };
-            counter(
+        w.scalar(
+            "ptmap_model_version",
+            Kind::Gauge,
+            "Version of the serving learned cost model.",
+            status.version,
+        );
+        w.scalar(
+            "ptmap_learn_pending_samples",
+            Kind::Gauge,
+            "Live samples queued for the trainer.",
+            status.pending,
+        );
+        for (name, help, value) in [
+            (
                 "ptmap_learn_samples_total",
                 "Live samples ingested from completed compiles.",
                 status.samples_total,
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_samples_dropped_total",
                 "Live samples evicted by the bounded ingest queue.",
                 status.samples_dropped,
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_spill_records_total",
                 "Samples appended to the checksummed spill log.",
                 self.spill_records.load(Ordering::Relaxed),
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_spill_errors_total",
                 "Samples that failed to spill.",
                 self.spill_errors.load(Ordering::Relaxed),
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_trainings_total",
                 "Background fine-tune rounds completed.",
                 status.trainings,
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_shadow_scores_total",
                 "Samples scored by a shadow candidate.",
                 self.shadow_scores.load(Ordering::Relaxed),
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_promotions_total",
                 "Candidates promoted to serving.",
                 status.promotions,
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_rejections_total",
                 "Candidates rejected after their shadow window.",
                 status.rejections,
-            );
-            counter(
+            ),
+            (
                 "ptmap_learn_snapshot_quarantines_total",
                 "Corrupt model snapshots quarantined at load.",
                 status.snapshot_quarantines,
-            );
+            ),
+        ] {
+            w.scalar(name, Kind::Counter, help, value);
         }
 
-        out.push_str(
-            "# HELP ptmap_learn_model_mape Live cycle MAPE (percent) per model.\n\
-             # TYPE ptmap_learn_model_mape gauge\n",
-        );
-        out.push_str(&format!(
-            "ptmap_learn_model_mape{{model=\"serving\"}} {}\n",
-            state.serving_eval.mape()
-        ));
+        let mut evals = vec![("serving", &state.serving_eval)];
         if let Some(shadow) = &state.shadow {
-            out.push_str(&format!(
-                "ptmap_learn_model_mape{{model=\"candidate\"}} {}\n",
-                shadow.candidate_eval.mape()
-            ));
+            evals.push(("candidate", &shadow.candidate_eval));
         }
-
-        out.push_str(
-            "# HELP ptmap_learn_error_ratio Absolute cycle-prediction error ratio per model.\n\
-             # TYPE ptmap_learn_error_ratio histogram\n",
+        let mut family = w.family(
+            "ptmap_learn_model_mape",
+            Kind::Gauge,
+            "Live cycle MAPE (percent) per model.",
         );
-        let mut histogram = |model: &str, eval: &ModelEval| {
-            let cum = eval.cumulative_buckets();
-            for (i, edge) in ERROR_BUCKETS.iter().enumerate() {
-                out.push_str(&format!(
-                    "ptmap_learn_error_ratio_bucket{{model=\"{model}\",le=\"{edge}\"}} {}\n",
-                    cum[i]
-                ));
-            }
-            out.push_str(&format!(
-                "ptmap_learn_error_ratio_bucket{{model=\"{model}\",le=\"+Inf\"}} {}\n",
-                cum[ERROR_BUCKETS.len()]
-            ));
-            out.push_str(&format!(
-                "ptmap_learn_error_ratio_sum{{model=\"{model}\"}} {}\n",
-                eval.abs_ratio_sum
-            ));
-            out.push_str(&format!(
-                "ptmap_learn_error_ratio_count{{model=\"{model}\"}} {}\n",
-                eval.used
-            ));
-        };
-        histogram("serving", &state.serving_eval);
-        if let Some(shadow) = &state.shadow {
-            histogram("candidate", &shadow.candidate_eval);
+        for &(model, eval) in &evals {
+            family.series(&[("model", model)], eval.mape());
         }
-        out
+        let mut family = w.family(
+            "ptmap_learn_error_ratio",
+            Kind::Histogram,
+            "Absolute cycle-prediction error ratio per model.",
+        );
+        for &(model, eval) in &evals {
+            family.histogram(&[("model", model)], &eval.errors);
+        }
     }
 }
 
@@ -734,24 +706,17 @@ mod tests {
     fn metrics_render_and_validate() {
         let engine = LearnEngine::new(tiny_config(None)).unwrap();
         drive(&engine, 8); // trains → shadow active → candidate series present
-        let text = engine.render_metrics();
-        assert!(text.contains("ptmap_model_version 1"));
-        assert!(text.contains("ptmap_learn_trainings_total 1"));
+        let mut w = Exposition::default();
+        engine.expose_metrics(&mut w);
+        let text = w.finish();
+        assert!(text.contains("ptmap_model_version 1\n"));
+        assert!(text.contains("ptmap_learn_trainings_total 1\n"));
         assert!(text.contains("ptmap_learn_model_mape{model=\"serving\"}"));
         assert!(text.contains("ptmap_learn_model_mape{model=\"candidate\"}"));
+        assert!(text.contains("ptmap_learn_error_ratio_bucket{model=\"serving\",le=\"1\"}"));
         assert!(text.contains("le=\"+Inf\""));
-        // Cumulative buckets must be monotone per model.
-        for model in ["serving", "candidate"] {
-            let mut last = 0u64;
-            for line in text
-                .lines()
-                .filter(|l| l.starts_with("ptmap_learn_error_ratio_bucket") && l.contains(model))
-            {
-                let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-                assert!(v >= last, "bucket counts must cumulate: {line}");
-                last = v;
-            }
-        }
+        // Syntax, one HELP per family, and cumulative buckets per model.
+        ptmap_trace::prom::check_prometheus_text(&text).expect("must parse");
     }
 
     #[test]

@@ -81,10 +81,4 @@ impl Default for LearnConfig {
     }
 }
 
-/// Locks a mutex, recovering from poisoning. The engine outlives any
-/// one request thread; a panicking scorer must not wedge ingest. Every
-/// guarded value stays structurally valid mid-mutation (vector pushes,
-/// counter bumps), so continuing past the poison marker is safe.
-pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+pub(crate) use ptmap_trace::lock_unpoisoned;

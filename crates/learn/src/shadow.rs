@@ -11,27 +11,33 @@
 
 use ptmap_gnn::PtMapGnn;
 use ptmap_gnn::Sample;
+use ptmap_trace::prom::Histogram;
 use serde::Serialize;
 
-/// Upper edges of the absolute-error-ratio histogram buckets; the
-/// implicit last bucket is `+Inf`.
-pub const ERROR_BUCKETS: [f64; 4] = [0.1, 0.25, 0.5, 1.0];
+/// Upper edges of the absolute-error-ratio histogram buckets, as their
+/// `le` label text; the implicit last bucket is `+Inf`.
+pub const ERROR_BUCKETS: &[&str] = &["0.1", "0.25", "0.5", "1"];
 
 /// Accumulated prediction quality of one model over live samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModelEval {
     /// Samples scored (used + skipped).
     pub scored: usize,
-    /// Samples that contributed an error ratio.
-    pub used: usize,
     /// Samples skipped for a zero actual cycle count.
     pub skipped: usize,
-    /// Sum of absolute error ratios over `used`.
-    pub abs_ratio_sum: f64,
-    /// Per-bucket (non-cumulative) counts of the absolute error ratio;
-    /// index `i` counts ratios in `(edge[i-1], edge[i]]` with the final
-    /// slot catching everything above the last edge.
-    pub buckets: [u64; ERROR_BUCKETS.len() + 1],
+    /// Absolute error ratios of the used samples (its count is the
+    /// number of samples that contributed one).
+    pub errors: Histogram,
+}
+
+impl Default for ModelEval {
+    fn default() -> Self {
+        ModelEval {
+            scored: 0,
+            skipped: 0,
+            errors: Histogram::new(ERROR_BUCKETS),
+        }
+    }
 }
 
 impl ModelEval {
@@ -42,14 +48,7 @@ impl ModelEval {
             self.skipped += 1;
             return;
         }
-        let ratio = ((predicted - actual) / actual).abs();
-        self.abs_ratio_sum += ratio;
-        self.used += 1;
-        let idx = ERROR_BUCKETS
-            .iter()
-            .position(|&edge| ratio <= edge)
-            .unwrap_or(ERROR_BUCKETS.len());
-        self.buckets[idx] += 1;
+        self.errors.observe(((predicted - actual) / actual).abs());
     }
 
     /// Scores a model's prediction for one sample against the sample's
@@ -62,20 +61,15 @@ impl ModelEval {
         );
     }
 
+    /// Samples that contributed an error ratio.
+    pub fn used(&self) -> u64 {
+        self.errors.count()
+    }
+
     /// Mean absolute percentage error (percent) over the used samples;
     /// `0.0` when nothing was usable.
     pub fn mape(&self) -> f64 {
-        100.0 * self.abs_ratio_sum / self.used.max(1) as f64
-    }
-
-    /// Cumulative bucket counts in edge order (Prometheus `le`
-    /// convention; the last entry equals `used`).
-    pub fn cumulative_buckets(&self) -> [u64; ERROR_BUCKETS.len() + 1] {
-        let mut out = self.buckets;
-        for i in 1..out.len() {
-            out[i] += out[i - 1];
-        }
-        out
+        100.0 * self.errors.sum() / self.used().max(1) as f64
     }
 }
 
@@ -103,7 +97,7 @@ pub struct ShadowVerdict {
 pub fn verdict(candidate: &ModelEval, serving: &ModelEval, margin: f64) -> ShadowVerdict {
     let candidate_mape = candidate.mape();
     let serving_mape = serving.mape();
-    let promote = candidate.used > 0 && candidate_mape < serving_mape * (1.0 - margin.max(0.0));
+    let promote = candidate.used() > 0 && candidate_mape < serving_mape * (1.0 - margin.max(0.0));
     ShadowVerdict {
         promote,
         candidate_mape,
@@ -122,7 +116,7 @@ mod tests {
         e.score(50.0, 0.0); // zero actual: skipped
         e.score(100.0, 200.0); // 50 % error
         assert_eq!(e.scored, 3);
-        assert_eq!(e.used, 2);
+        assert_eq!(e.used(), 2);
         assert_eq!(e.skipped, 1);
         assert!((e.mape() - 30.0).abs() < 1e-9);
         assert!(e.mape().is_finite());
@@ -134,13 +128,9 @@ mod tests {
         for ratio in [0.05, 0.2, 0.2, 0.4, 0.9, 3.0] {
             e.score(100.0 * (1.0 + ratio), 100.0);
         }
-        assert_eq!(e.buckets, [1, 2, 1, 1, 1]);
-        let cum = e.cumulative_buckets();
-        assert_eq!(cum, [1, 3, 4, 5, 6]);
-        assert_eq!(*cum.last().unwrap() as usize, e.used);
-        for w in cum.windows(2) {
-            assert!(w[1] >= w[0], "cumulative buckets must be monotone");
-        }
+        let cum: Vec<(&str, u64)> = e.errors.buckets().collect();
+        assert_eq!(cum, [("0.1", 1), ("0.25", 3), ("0.5", 4), ("1", 5)]);
+        assert_eq!(e.used(), 6, "the ratio above the last edge lands in +Inf");
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Versioned model snapshots.
 //!
 //! Each promoted model persists as `model-v<N>.bin` — a checksum frame
-//! (`<sha256-hex>\n<json>`, the report cache's framing) around the
-//! model's deterministic byte encoding — plus a `manifest.json` naming
-//! the latest version. On restart the store loads the highest version
-//! that checks out; a corrupt or injected-fault snapshot is quarantined
-//! (renamed `<name>.corrupt`), counted, and skipped, so one bad file
-//! never takes the learner down — it restores from the next-best
-//! version or reseeds.
+//! (`<sha256-hex>\n<json>`, `ptmap_pipeline::hash`'s format, shared
+//! with the report cache) around the model's deterministic byte
+//! encoding — plus a `manifest.json` naming the latest version. On
+//! restart the store loads the highest version that checks out; a
+//! corrupt or injected-fault snapshot is quarantined (renamed
+//! `<name>.corrupt`), counted, and skipped, so one bad file never takes
+//! the learner down — it restores from the next-best version or
+//! reseeds.
 
 use ptmap_gnn::PtMapGnn;
 use ptmap_governor::faultpoint::{self, sites};
-use ptmap_pipeline::hash::sha256_hex;
+use ptmap_pipeline::hash::{self, verify_frame, write_framed};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -66,11 +67,7 @@ impl ModelStore {
     pub fn persist(&self, version: u64, model: &PtMapGnn) -> io::Result<()> {
         let Some(dir) = &self.dir else { return Ok(()) };
         let json = String::from_utf8(model.to_bytes()).expect("model encodes as UTF-8");
-        let framed = format!("{}\n{json}", sha256_hex(&json));
-        let path = dir.join(snapshot_name(version));
-        let tmp = dir.join(format!(".{}.tmp", snapshot_name(version)));
-        std::fs::write(&tmp, framed)?;
-        std::fs::rename(&tmp, &path)?;
+        write_framed(&dir.join(snapshot_name(version)), &json)?;
         let manifest =
             serde_json::to_string(&StoreManifest { latest: version }).expect("manifest encodes");
         let mtmp = dir.join(".manifest.json.tmp");
@@ -119,26 +116,20 @@ impl ModelStore {
     }
 
     fn quarantine(&self, path: &Path, name: &str, reason: &str) {
-        let mut dst = path.as_os_str().to_owned();
-        dst.push(".corrupt");
-        if std::fs::rename(path, &dst).is_err() {
-            let _ = std::fs::remove_file(path);
-        }
+        hash::quarantine(path);
         self.quarantines.fetch_add(1, Ordering::Relaxed);
-        eprintln!("warning: quarantined corrupt model snapshot {name} ({reason})");
+        ptmap_trace::obs::logger().warn(
+            "snapshot_quarantine",
+            None,
+            &format!("quarantined corrupt model snapshot {name} ({reason})"),
+            &[("file", name.into())],
+        );
     }
 }
 
 /// Decodes a checksum-framed snapshot.
 fn decode_snapshot(bytes: &[u8]) -> Result<PtMapGnn, &'static str> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "not UTF-8")?;
-    let (checksum, json) = text.split_once('\n').ok_or("missing checksum header")?;
-    if checksum.len() != 64 || !checksum.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err("malformed checksum header");
-    }
-    if sha256_hex(json) != checksum {
-        return Err("checksum mismatch");
-    }
+    let json = verify_frame(bytes)?;
     PtMapGnn::from_bytes(json.as_bytes()).map_err(|_| "unparsable model")
 }
 

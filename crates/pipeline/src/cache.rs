@@ -17,15 +17,14 @@
 //!
 //! # On-disk framing (schema 2)
 //!
-//! Each entry file is `<64-hex-sha256>\n<pretty JSON>`, where the
-//! checksum covers the exact JSON bytes that follow the first newline.
-//! Loading verifies the checksum before parsing; a truncated, corrupt,
-//! or unparsable entry is *quarantined* — renamed to `<name>.corrupt`
-//! so it never shadows a recompute and stays on disk for post-mortems —
-//! counted, and treated as a miss. Cache corruption therefore degrades
-//! to recompilation, never to a panic or a wrong report.
+//! Each entry file is the pretty JSON report in the checksummed-file
+//! frame of [`crate::hash`]. Loading verifies the checksum before
+//! parsing; a truncated, corrupt, or unparsable entry is *quarantined*
+//! (renamed to `<name>.corrupt`), counted, and treated as a miss. Cache
+//! corruption therefore degrades to recompilation, never to a panic or
+//! a wrong report.
 
-use crate::hash::sha256_hex;
+use crate::hash::{self, sha256_hex, verify_frame};
 use crate::lock_unpoisoned;
 use crate::manifest::Job;
 use ptmap_core::{CompileReport, PtMapConfig};
@@ -92,23 +91,10 @@ pub fn cache_key_degraded(job: &Job, base: &PtMapConfig, degraded: Option<&str>)
     sha256_hex(&serde_json::to_string(&payload).expect("canonical payload serializes"))
 }
 
-/// Frames a serialized report for disk: checksum line, then the exact
-/// bytes the checksum covers.
-fn frame_entry(json: &str) -> String {
-    format!("{}\n{json}", sha256_hex(json))
-}
-
 /// Decodes and verifies a disk entry; the error string names the first
 /// validation that failed (used in the quarantine warning).
 fn decode_entry(bytes: &[u8]) -> Result<CompileReport, &'static str> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "not UTF-8")?;
-    let (checksum, json) = text.split_once('\n').ok_or("missing checksum header")?;
-    if checksum.len() != 64 || !checksum.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err("malformed checksum header");
-    }
-    if sha256_hex(json) != checksum {
-        return Err("checksum mismatch");
-    }
+    let json = verify_frame(bytes)?;
     serde_json::from_str::<CompileReport>(json).map_err(|_| "unparsable report")
 }
 
@@ -142,6 +128,20 @@ impl ReportCache {
         Ok(ReportCache {
             dir: Some(dir),
             ..ReportCache::default()
+        })
+    }
+
+    /// [`ReportCache::with_dir`], or a memory-only cache (with a
+    /// `cache_dir_fallback` warning) when the directory is unusable.
+    pub fn with_dir_or_memory(dir: &Path) -> Self {
+        ReportCache::with_dir(dir).unwrap_or_else(|e| {
+            ptmap_trace::obs::logger().warn(
+                "cache_dir_fallback",
+                None,
+                &format!("cache dir {}: {e}; falling back to memory", dir.display()),
+                &[("dir", dir.display().to_string().into())],
+            );
+            ReportCache::in_memory()
         })
     }
 
@@ -183,14 +183,7 @@ impl ReportCache {
 
     /// Moves a failed entry aside so it never shadows the recompute.
     fn quarantine(&self, path: &Path, key: &str, reason: &str) {
-        let mut dst = path.as_os_str().to_owned();
-        dst.push(".corrupt");
-        if std::fs::rename(path, &dst).is_err() {
-            // Rename can only fail if someone else already moved or
-            // deleted the entry; removal keeps the miss-and-recompute
-            // semantics either way.
-            let _ = std::fs::remove_file(path);
-        }
+        hash::quarantine(path);
         self.quarantines.fetch_add(1, Ordering::Relaxed);
         ptmap_trace::obs::logger().warn(
             "cache_quarantine",
@@ -210,23 +203,9 @@ impl ReportCache {
                 return;
             }
             if let Ok(text) = serde_json::to_string_pretty(report) {
-                let text = frame_entry(&text);
-                // Write-then-rename so a concurrent reader never sees a
-                // half-written entry. The temp name must be unique per
-                // writer: with a shared `<key>.json.tmp`, two processes
-                // (or threads with separate caches) racing on the same
-                // key interleave write/rename and one rename publishes
-                // the other writer's possibly half-written file.
-                static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-                let tmp = dir.join(format!(
-                    "{key}.json.tmp.{}.{}",
-                    std::process::id(),
-                    WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                let dst = dir.join(format!("{key}.json"));
-                if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &dst).is_err() {
-                    let _ = std::fs::remove_file(&tmp);
-                }
+                // A failed write leaves the entry memory-only, like
+                // the fault above.
+                let _ = hash::write_framed(&dir.join(format!("{key}.json")), &text);
             }
         }
     }

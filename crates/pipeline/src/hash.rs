@@ -1,9 +1,18 @@
-//! SHA-256 for content addressing.
+//! SHA-256 for content addressing, and the one checksummed-file format.
 //!
 //! A from-scratch FIPS 180-4 implementation (the workspace vendors all
-//! external dependencies, so no crypto crate is available). Used only
-//! for cache keys — collision resistance matters, timing side channels
-//! do not.
+//! external dependencies, so no crypto crate is available). Used for
+//! cache keys and file checksums — collision resistance matters, timing
+//! side channels do not.
+//!
+//! A checksummed file is `<64-hex-sha256>\n<payload>`, the checksum
+//! covering the exact payload bytes. [`write_framed`] publishes one
+//! atomically, [`verify_frame`] checks one, and [`quarantine`] moves a
+//! file that failed aside. The report cache and the learner's model
+//! snapshots both use it.
+
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -93,9 +102,73 @@ pub fn sha256_hex(text: &str) -> String {
     hex(&sha256(text.as_bytes()))
 }
 
+/// Writes `payload` to `path` as a checksummed file. The frame goes to
+/// a temp file named uniquely per process and write, then is renamed
+/// over `path`, so a reader never sees a torn file and two writers
+/// racing on one path never publish each other's half-written bytes.
+pub fn write_framed(path: &Path, payload: &str) -> std::io::Result<()> {
+    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
+    let framed = format!("{}\n{payload}", sha256_hex(payload));
+    let written = std::fs::write(&tmp, framed).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Verifies a checksummed file's bytes and returns its payload, or
+/// names the first check that failed.
+pub fn verify_frame(bytes: &[u8]) -> Result<&str, &'static str> {
+    let text = std::str::from_utf8(bytes).map_err(|_| "not UTF-8")?;
+    let (checksum, payload) = text.split_once('\n').ok_or("missing checksum header")?;
+    if checksum.len() != 64 || !checksum.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err("malformed checksum header");
+    }
+    if sha256_hex(payload) != checksum {
+        return Err("checksum mismatch");
+    }
+    Ok(payload)
+}
+
+/// Moves a file that failed verification to `<path>.corrupt`, where it
+/// stays for post-mortems and never shadows a rewrite. If the rename
+/// fails (someone else already moved or deleted it) the file is
+/// removed.
+pub fn quarantine(path: &Path) {
+    let mut dst = path.as_os_str().to_owned();
+    dst.push(".corrupt");
+    if std::fs::rename(path, &dst).is_err() {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn framed_files_round_trip_and_quarantine() {
+        let dir = std::env::temp_dir().join(format!("ptmap-hash-frame-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.json");
+        write_framed(&path, "{\"a\":1}").unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            bytes,
+            format!("{}\n{{\"a\":1}}", sha256_hex("{\"a\":1}")).as_bytes()
+        );
+        assert_eq!(verify_frame(&bytes), Ok("{\"a\":1}"));
+        let leftovers = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leftovers, 1, "no temp file survives a write");
+
+        quarantine(&path);
+        assert!(!path.exists());
+        assert!(dir.join("entry.json.corrupt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     // FIPS 180-4 / NIST test vectors.
     #[test]

@@ -52,15 +52,4 @@ pub use scheduler::{
     JobOutcome, TraceSettings,
 };
 
-/// Locks a mutex, recovering from poisoning.
-///
-/// The shared recorder and report cache outlive any one job — in a
-/// long-lived daemon they outlive *millions* of jobs — so a panicking
-/// compilation (itself isolated by `catch_unwind`) must not leave them
-/// permanently poisoned. Every value they guard (counter maps, the
-/// report map) is valid after any interrupted mutation: entries are
-/// inserted or numerically bumped atomically from the data structure's
-/// point of view, so continuing past the poison marker is safe.
-pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+pub(crate) use ptmap_trace::lock_unpoisoned;

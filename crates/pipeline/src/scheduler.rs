@@ -240,16 +240,8 @@ impl BatchReport {
 /// Runs a batch with a cache built from the configuration (persistent
 /// when `cache_dir` is set).
 pub fn run_batch(jobs: &[Job], config: &BatchConfig) -> BatchReport {
-    let cache = match &config.cache_dir {
-        Some(dir) => ReportCache::with_dir(dir).unwrap_or_else(|e| {
-            ptmap_trace::obs::logger().warn(
-                "cache_dir_fallback",
-                None,
-                &format!("cache dir {}: {e}; falling back to memory", dir.display()),
-                &[],
-            );
-            ReportCache::in_memory()
-        }),
+    let cache = match config.cache_dir.as_deref() {
+        Some(dir) => ReportCache::with_dir_or_memory(dir),
         None => ReportCache::in_memory(),
     };
     run_batch_with_cache(jobs, config, &cache)

@@ -35,9 +35,9 @@
 use crate::client::{self, ClientError, PeerResponse};
 use crate::http::{Request, Response};
 use crate::lock_unpoisoned;
-use crate::metrics::render_http_sections;
 use crate::service::{
-    error_outcome, error_response, outcome_response, with_retry_after, Core, Service, ServiceHandle,
+    error_outcome, error_response, json_string, outcome_response, with_retry_after, Core, Service,
+    ServiceHandle,
 };
 use crate::shard::{Breaker, BreakerState, HashRing};
 use crate::traces::TraceStore;
@@ -46,13 +46,13 @@ use ptmap_governor::faultpoint::{fail_point, with_scope};
 use ptmap_governor::{faultpoint::sites, Budget};
 use ptmap_pipeline::{JobOutcome, ReportCache};
 use ptmap_trace::obs::{Level, LogFormat};
+use ptmap_trace::prom::{parse_label_set, Exposition, Kind, Value as Sample};
 use ptmap_trace::{
     chrome_trace_json, hash64, next_trace_id, stitch, AttrValue, Span, Trace, Tracer, FORWARD_SPAN,
     WINNER_ATTR,
 };
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -304,17 +304,8 @@ impl Gateway {
                 probes_failed: AtomicU64::new(0),
             })
             .collect();
-        let cache = config.cache_dir.as_ref().map(|dir| {
-            ReportCache::with_dir(dir).unwrap_or_else(|e| {
-                core.log.warn(
-                    "cache_dir_fallback",
-                    None,
-                    &format!("cache dir {}: {e}; falling back to memory", dir.display()),
-                    &[("dir", AttrValue::Str(dir.display().to_string()))],
-                );
-                ReportCache::in_memory()
-            })
-        });
+        let cache_dir = config.cache_dir.as_deref();
+        let cache = cache_dir.map(ReportCache::with_dir_or_memory);
         let state = Arc::new(GatewayState {
             core,
             ring,
@@ -487,8 +478,8 @@ impl Service for GatewayState {
         Response::json(
             202,
             format!(
-                "{{\"id\":{gid},\"state\":\"queued\",\"peer\":{:?}}}",
-                self.peers[idx].addr
+                "{{\"id\":{gid},\"state\":\"queued\",\"peer\":{}}}",
+                json_string(&self.peers[idx].addr)
             ),
         )
         .with_header("X-Ptmap-Peer", self.peers[idx].addr.clone())
@@ -1182,8 +1173,8 @@ fn requeue_job(state: &GatewayState, gid: u64, job: &GwJob) -> Response {
         return Response::json(
             202,
             format!(
-                "{{\"id\":{gid},\"state\":\"queued\",\"requeued\":true,\"peer\":{:?}}}",
-                state.peers[candidate].addr
+                "{{\"id\":{gid},\"state\":\"queued\",\"requeued\":true,\"peer\":{}}}",
+                json_string(&state.peers[candidate].addr)
             ),
         )
         .with_header("X-Ptmap-Peer", state.peers[candidate].addr.clone());
@@ -1252,67 +1243,58 @@ const ROLLUP_METRICS: [(&str, &str); 6] = [
 /// scrapes each live peer's `/metrics` for the cluster view (skipped in
 /// tests and the drain summary, where no network should be touched).
 fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
-    let mut out = String::new();
-    render_http_sections(&state.core.metrics, &mut out);
+    let mut w = Exposition::default();
+    state.core.metrics.expose(&mut w);
 
-    out.push_str("# HELP ptmap_gateway_forwards_total Forward attempts answered, by peer.\n");
-    out.push_str("# TYPE ptmap_gateway_forwards_total counter\n");
-    for peer in &state.peers {
-        let _ = writeln!(
-            out,
-            "ptmap_gateway_forwards_total{{peer=\"{}\"}} {}",
-            peer.addr,
-            peer.forwards.load(Ordering::Relaxed)
-        );
-    }
-    out.push_str(
-        "# HELP ptmap_gateway_forward_failures_total Forward attempts failed in transport, \
-         by peer.\n",
+    let mut family = w.family(
+        "ptmap_gateway_forwards_total",
+        Kind::Counter,
+        "Forward attempts answered, by peer.",
     );
-    out.push_str("# TYPE ptmap_gateway_forward_failures_total counter\n");
     for peer in &state.peers {
-        let _ = writeln!(
-            out,
-            "ptmap_gateway_forward_failures_total{{peer=\"{}\"}} {}",
-            peer.addr,
-            peer.failures.load(Ordering::Relaxed)
+        family.series(
+            &[("peer", peer.addr.as_str())],
+            peer.forwards.load(Ordering::Relaxed),
         );
     }
-    out.push_str("# HELP ptmap_gateway_probes_total Health probes, by peer and outcome.\n");
-    out.push_str("# TYPE ptmap_gateway_probes_total counter\n");
+    let mut family = w.family(
+        "ptmap_gateway_forward_failures_total",
+        Kind::Counter,
+        "Forward attempts failed in transport, by peer.",
+    );
     for peer in &state.peers {
-        let _ = writeln!(
-            out,
-            "ptmap_gateway_probes_total{{peer=\"{}\",outcome=\"ok\"}} {}",
-            peer.addr,
-            peer.probes_ok.load(Ordering::Relaxed)
+        family.series(
+            &[("peer", peer.addr.as_str())],
+            peer.failures.load(Ordering::Relaxed),
         );
-        let _ = writeln!(
-            out,
-            "ptmap_gateway_probes_total{{peer=\"{}\",outcome=\"failed\"}} {}",
-            peer.addr,
-            peer.probes_failed.load(Ordering::Relaxed)
-        );
+    }
+    let mut family = w.family(
+        "ptmap_gateway_probes_total",
+        Kind::Counter,
+        "Health probes, by peer and outcome.",
+    );
+    for peer in &state.peers {
+        for (outcome, n) in [("ok", &peer.probes_ok), ("failed", &peer.probes_failed)] {
+            let labels = [("peer", peer.addr.as_str()), ("outcome", outcome)];
+            family.series(&labels, n.load(Ordering::Relaxed));
+        }
     }
 
-    out.push_str(
-        "# HELP ptmap_gateway_breaker_transitions_total Breaker transitions, by peer and \
-         entered state.\n",
+    let mut family = w.family(
+        "ptmap_gateway_breaker_transitions_total",
+        Kind::Counter,
+        "Breaker transitions, by peer and entered state.",
     );
-    out.push_str("# TYPE ptmap_gateway_breaker_transitions_total counter\n");
     for ((idx, to), n) in lock_unpoisoned(&state.transitions).iter() {
-        let _ = writeln!(
-            out,
-            "ptmap_gateway_breaker_transitions_total{{peer=\"{}\",state=\"{to}\"}} {n}",
-            state.peers[*idx].addr
-        );
+        let labels = [("peer", state.peers[*idx].addr.as_str()), ("state", to)];
+        family.series(&labels, *n);
     }
 
-    out.push_str(
-        "# HELP ptmap_gateway_peer_state Breaker state per peer \
-         (0=closed, 1=half-open, 2=open).\n",
+    let mut family = w.family(
+        "ptmap_gateway_peer_state",
+        Kind::Gauge,
+        "Breaker state per peer (0=closed, 1=half-open, 2=open).",
     );
-    out.push_str("# TYPE ptmap_gateway_peer_state gauge\n");
     let now = Instant::now();
     let mut available = 0u64;
     for peer in &state.peers {
@@ -1321,15 +1303,11 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
             available += 1;
         }
         let code = match s {
-            BreakerState::Closed => 0,
+            BreakerState::Closed => 0u64,
             BreakerState::HalfOpen => 1,
             BreakerState::Open => 2,
         };
-        let _ = writeln!(
-            out,
-            "ptmap_gateway_peer_state{{peer=\"{}\"}} {code}",
-            peer.addr
-        );
+        family.series(&[("peer", peer.addr.as_str())], code);
     }
 
     for (name, help, value) in [
@@ -1349,114 +1327,94 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
             u64::from(state.core.draining()),
         ),
     ] {
-        let _ = writeln!(
-            out,
-            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}"
-        );
+        w.scalar(name, Kind::Gauge, help, value);
     }
     for (name, help, value) in [
         (
             "ptmap_gateway_retries_total",
             "Forward attempts that were retries.",
-            state.retries.load(Ordering::Relaxed),
+            &state.retries,
         ),
         (
             "ptmap_gateway_jobs_requeued_total",
             "Async jobs resubmitted after their owner died.",
-            state.requeued.load(Ordering::Relaxed),
+            &state.requeued,
         ),
         (
             "ptmap_gateway_cache_hits_total",
             "Compiles answered from the gateway's shared cache tier.",
-            state.shared_cache_hits.load(Ordering::Relaxed),
+            &state.shared_cache_hits,
         ),
     ] {
-        let _ = writeln!(
-            out,
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}"
-        );
+        w.scalar(name, Kind::Counter, help, value.load(Ordering::Relaxed));
     }
 
     if rollup {
-        render_cluster_rollup(state, &mut out);
+        render_cluster_rollup(state, &mut w);
     }
-    out
+    w.finish()
 }
 
 /// Scrapes each peer's `/metrics` and re-emits headline scalars under
 /// `ptmap_cluster_*{peer="..."}`, plus an up/down gauge per peer.
-fn render_cluster_rollup(state: &GatewayState, out: &mut String) {
+fn render_cluster_rollup(state: &GatewayState, w: &mut Exposition) {
     let mut up: Vec<(usize, bool)> = Vec::new();
-    let mut rows: BTreeMap<&'static str, Vec<(usize, String)>> = BTreeMap::new();
-    let mut builds: Vec<(usize, String)> = Vec::new();
+    let mut rows: BTreeMap<&'static str, Vec<(usize, Sample)>> = BTreeMap::new();
+    let mut builds: Vec<(usize, Vec<(String, String)>)> = Vec::new();
     for (idx, peer) in state.peers.iter().enumerate() {
         let deadline = Instant::now() + PROBE_DEADLINE;
         let scraped = client::request(&peer.addr, "GET", "/metrics", &[], b"", Some(deadline));
-        let Ok(resp) = scraped else {
-            up.push((idx, false));
-            continue;
-        };
-        if resp.status != 200 {
-            up.push((idx, false));
-            continue;
-        }
-        up.push((idx, true));
+        let scraped = scraped.ok().filter(|resp| resp.status == 200);
+        up.push((idx, scraped.is_some()));
+        let Some(resp) = scraped else { continue };
         let text = resp.body_text();
         for line in text.lines() {
             for (source, target) in ROLLUP_METRICS {
-                if let Some(rest) = line.strip_prefix(source) {
-                    if let Some(value) = rest.strip_prefix(' ') {
-                        rows.entry(target)
-                            .or_default()
-                            .push((idx, value.to_string()));
-                    }
+                let value = line.strip_prefix(source).and_then(|r| r.strip_prefix(' '));
+                if let Some(value) = value.and_then(Sample::parse) {
+                    rows.entry(target).or_default().push((idx, value));
                 }
             }
             // Build identity carries its own label set; re-export it
-            // verbatim with the peer label prepended.
-            if let Some(rest) = line.strip_prefix("ptmap_build_info{") {
-                if let Some((labels, _)) = rest.split_once('}') {
-                    builds.push((idx, labels.to_string()));
-                }
+            // with the peer label prepended.
+            let labels = line
+                .strip_prefix("ptmap_build_info{")
+                .and_then(|rest| rest.rsplit_once(' '))
+                .and_then(|(body, _)| body.strip_suffix('}'))
+                .and_then(|body| parse_label_set(body).ok());
+            if let Some(labels) = labels {
+                builds.push((idx, labels));
             }
         }
     }
-    out.push_str("# HELP ptmap_cluster_peer_up Whether the peer answered a metrics scrape.\n");
-    out.push_str("# TYPE ptmap_cluster_peer_up gauge\n");
+    let mut family = w.family(
+        "ptmap_cluster_peer_up",
+        Kind::Gauge,
+        "Whether the peer answered a metrics scrape.",
+    );
     for (idx, ok) in &up {
-        let _ = writeln!(
-            out,
-            "ptmap_cluster_peer_up{{peer=\"{}\"}} {}",
-            state.peers[*idx].addr,
-            u64::from(*ok)
-        );
+        family.series(&[("peer", state.peers[*idx].addr.as_str())], u64::from(*ok));
     }
     for (target, series) in rows {
-        let _ = writeln!(
-            out,
-            "# HELP {target} Peer metric, rolled up by the gateway."
+        let mut family = w.family(
+            target,
+            Kind::Gauge,
+            "Peer metric, rolled up by the gateway.",
         );
-        let _ = writeln!(out, "# TYPE {target} gauge");
         for (idx, value) in series {
-            let _ = writeln!(
-                out,
-                "{target}{{peer=\"{}\"}} {value}",
-                state.peers[idx].addr
-            );
+            family.series(&[("peer", state.peers[idx].addr.as_str())], value);
         }
     }
     if !builds.is_empty() {
-        out.push_str(
-            "# HELP ptmap_cluster_peer_build_info Peer build identity, rolled up by the \
-             gateway.\n",
+        let mut family = w.family(
+            "ptmap_cluster_peer_build_info",
+            Kind::Gauge,
+            "Peer build identity, rolled up by the gateway.",
         );
-        out.push_str("# TYPE ptmap_cluster_peer_build_info gauge\n");
-        for (idx, labels) in builds {
-            let _ = writeln!(
-                out,
-                "ptmap_cluster_peer_build_info{{peer=\"{}\",{labels}}} 1",
-                state.peers[idx].addr
-            );
+        for (idx, labels) in &builds {
+            let mut all = vec![("peer", state.peers[*idx].addr.as_str())];
+            all.extend(labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            family.series(&all, 1u64);
         }
     }
 }
@@ -1492,7 +1450,12 @@ mod tests {
     fn gateway_metrics_text_is_valid_prometheus() {
         let gw = Gateway::bind(GatewayConfig {
             addr: "127.0.0.1:0".to_string(),
-            peers: vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()],
+            // A quote in a peer name must be escaped in its labels.
+            peers: vec![
+                "127.0.0.1:1".to_string(),
+                "127.0.0.1:2".to_string(),
+                "peer\"3".to_string(),
+            ],
             ..GatewayConfig::default()
         })
         .unwrap();
@@ -1503,12 +1466,13 @@ mod tests {
         gw.state
             .note_transition(0, Some((BreakerState::Closed, BreakerState::Open)));
         let text = gw.handle().metrics_text();
-        crate::metrics::check_prometheus_text(&text).expect("must parse");
+        ptmap_trace::prom::check_prometheus_text(&text).expect("must parse");
         assert!(text.contains("ptmap_gateway_forwards_total{peer=\"127.0.0.1:1\"} 0"));
         assert!(text.contains(
             "ptmap_gateway_breaker_transitions_total{peer=\"127.0.0.1:1\",state=\"open\"} 1"
         ));
-        assert!(text.contains("ptmap_gateway_peers_available 2"));
+        assert!(text.contains("ptmap_gateway_forwards_total{peer=\"peer\\\"3\"} 0"));
+        assert!(text.contains("ptmap_gateway_peers_available 3"));
         assert!(text.contains("ptmap_gateway_retries_total 0"));
     }
 

@@ -57,10 +57,4 @@ pub use service::ServiceHandle;
 pub use shard::{Breaker, BreakerState, HashRing};
 pub use traces::TraceStore;
 
-/// Locks a mutex, recovering from poisoning: the daemon's shared maps
-/// (flights, job states, histograms) stay valid across any interrupted
-/// mutation, so one panicking request must not poison them for the
-/// rest of the process lifetime.
-pub(crate) fn lock_unpoisoned<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+pub(crate) use ptmap_trace::lock_unpoisoned;

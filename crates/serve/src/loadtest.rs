@@ -23,8 +23,8 @@
 //! cluster broke".
 
 use crate::client::{self, ClientError};
-use crate::metrics::Histogram;
 use ptmap_trace::hash64;
+use ptmap_trace::prom::{Histogram, LATENCY_BUCKETS};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -158,7 +158,7 @@ fn classify(result: &Result<u16, ClientError>) -> Option<String> {
 pub fn run_loadtest(config: &LoadtestConfig) -> LoadtestReport {
     let next = Arc::new(AtomicU64::new(0));
     let errors = Arc::new(Mutex::new(BTreeMap::<String, u64>::new()));
-    let latency = Arc::new(Mutex::new(Histogram::default()));
+    let latency = Arc::new(Mutex::new(Histogram::new(LATENCY_BUCKETS)));
     let samples = Arc::new(Mutex::new(Vec::<Exemplar>::new()));
     let ok = Arc::new(AtomicU64::new(0));
     let sent = Arc::new(AtomicU64::new(0));
@@ -240,6 +240,7 @@ pub fn run_loadtest(config: &LoadtestConfig) -> LoadtestReport {
             .then_with(|| b.trace_id.is_some().cmp(&a.trace_id.is_some()))
     });
     samples.truncate(exemplar_count(config.requests));
+    let latency = crate::lock_unpoisoned(&latency).clone();
 
     LoadtestReport {
         sent: sent.load(Ordering::Relaxed),
@@ -248,9 +249,7 @@ pub fn run_loadtest(config: &LoadtestConfig) -> LoadtestReport {
         errors: Arc::try_unwrap(errors)
             .map(|m| m.into_inner().unwrap_or_default())
             .unwrap_or_else(|arc| crate::lock_unpoisoned(&arc).clone()),
-        latency: Arc::try_unwrap(latency)
-            .map(|m| m.into_inner().unwrap_or_default())
-            .unwrap_or_else(|arc| crate::lock_unpoisoned(&arc).clone()),
+        latency,
         wall: t0.elapsed(),
     }
 }

@@ -13,10 +13,9 @@
 use crate::coalesce::{Coalescer, Flight, Join};
 use crate::http::{Request, Response};
 use crate::jobs::{JobState, JobTable, SubmitError};
-use crate::metrics::{render, ServiceGauges};
 use crate::service::{
-    error_outcome, error_response, outcome_response, outcome_status, parse_headers, parse_spec,
-    with_retry_after, Core, Service, ServiceHandle,
+    error_outcome, error_response, json_string, outcome_response, outcome_status, parse_headers,
+    parse_spec, with_retry_after, Core, Service, ServiceHandle,
 };
 use crate::traces::TraceStore;
 use ptmap_core::PtMapConfig;
@@ -25,6 +24,7 @@ use ptmap_pipeline::{
     compile_job_traced, request_key, BatchConfig, Job, JobOutcome, JobSpec, Recorder, ReportCache,
 };
 use ptmap_trace::obs::{Level, LogFormat};
+use ptmap_trace::prom::{Exposition, Kind};
 use ptmap_trace::{AttrValue, SamplePolicy, Tracer};
 use serde_json::Value;
 use std::io::Read;
@@ -133,25 +133,6 @@ pub(crate) struct ServerState {
     workers_alive: AtomicUsize,
 }
 
-impl ServerState {
-    fn gauges(&self) -> ServiceGauges {
-        let (hits, misses) = self.cache.stats();
-        ServiceGauges {
-            queue_depth: self.jobs.depth(),
-            inflight_compiles: self.inflight.load(Ordering::Relaxed),
-            flights_in_flight: self.coalescer.in_flight(),
-            coalesced_total: self.coalescer.coalesced_total(),
-            workers_alive: self.workers_alive.load(Ordering::Relaxed),
-            draining: self.core.draining(),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_quarantines: self.cache.quarantines(),
-            cache_entries: self.cache.len(),
-            trace_entries: self.traces.len(),
-        }
-    }
-}
-
 /// The bound, not-yet-running daemon.
 pub struct Server {
     listener: TcpListener,
@@ -210,16 +191,8 @@ impl Server {
             config.log_format,
             config.drain_timeout,
         )?;
-        let cache = match &config.cache_dir {
-            Some(dir) => ReportCache::with_dir(dir).unwrap_or_else(|e| {
-                core.log.warn(
-                    "cache_dir_fallback",
-                    None,
-                    &format!("cache dir {}: {e}; falling back to memory", dir.display()),
-                    &[("dir", AttrValue::Str(dir.display().to_string()))],
-                );
-                ReportCache::in_memory()
-            }),
+        let cache = match config.cache_dir.as_deref() {
+            Some(dir) => ReportCache::with_dir_or_memory(dir),
             None => ReportCache::in_memory(),
         };
         let learn = match config.learn.clone() {
@@ -327,19 +300,116 @@ impl Service for ServerState {
     }
 
     fn metrics_text(&self, _live: bool) -> String {
-        let (spans, counters) = self.recorder.snapshot();
-        let mut out = render(&self.core.metrics, &self.gauges(), &spans, &counters);
-        let fallbacks = counters.get("predictor_fallbacks").copied().unwrap_or(0);
-        out.push_str(&format!(
-            "# HELP ptmap_predictor_fallbacks_total Compiles that fell back to the \
-             analytical predictor because a GNN model failed to load.\n\
-             # TYPE ptmap_predictor_fallbacks_total counter\n\
-             ptmap_predictor_fallbacks_total {fallbacks}\n"
-        ));
-        if let Some(engine) = &self.learn {
-            out.push_str(&engine.render_metrics());
+        let mut w = Exposition::default();
+        self.core.metrics.expose(&mut w);
+        w.scalar(
+            "ptmap_coalesced_requests_total",
+            Kind::Counter,
+            "Requests served by attaching to an in-flight compile.",
+            self.coalescer.coalesced_total(),
+        );
+        w.scalar(
+            "ptmap_compiles_started_total",
+            Kind::Counter,
+            "Underlying (leader) compiles started.",
+            self.core.metrics.compiles_total(),
+        );
+        for (name, help, value) in [
+            (
+                "ptmap_queue_depth",
+                "Async jobs waiting in the bounded queue.",
+                self.jobs.depth(),
+            ),
+            (
+                "ptmap_inflight_compiles",
+                "Leader compiles currently running.",
+                self.inflight.load(Ordering::Relaxed),
+            ),
+            (
+                "ptmap_inflight_flights",
+                "Coalesced flights currently in the table.",
+                self.coalescer.in_flight(),
+            ),
+            (
+                "ptmap_workers_alive",
+                "Async worker threads alive.",
+                self.workers_alive.load(Ordering::Relaxed),
+            ),
+            (
+                "ptmap_draining",
+                "1 while the server is draining for shutdown.",
+                usize::from(self.core.draining()),
+            ),
+            (
+                "ptmap_cache_entries",
+                "Reports resident in the in-memory cache.",
+                self.cache.len(),
+            ),
+            (
+                "ptmap_trace_store_entries",
+                "Compile traces retained in the ring buffer.",
+                self.traces.len(),
+            ),
+        ] {
+            w.scalar(name, Kind::Gauge, help, value);
         }
-        out
+        let (hits, misses) = self.cache.stats();
+        for (name, help, value) in [
+            (
+                "ptmap_cache_hits_total",
+                "Report-cache hits since boot.",
+                hits,
+            ),
+            (
+                "ptmap_cache_misses_total",
+                "Report-cache misses since boot.",
+                misses,
+            ),
+            (
+                "ptmap_cache_quarantines_total",
+                "Corrupt disk cache entries quarantined since boot.",
+                self.cache.quarantines(),
+            ),
+        ] {
+            w.scalar(name, Kind::Counter, help, value);
+        }
+
+        let (spans, counters) = self.recorder.snapshot();
+        let mut family = w.family(
+            "ptmap_stage_seconds_total",
+            Kind::Counter,
+            "Pipeline span time by stage.",
+        );
+        for (stage, stat) in &spans {
+            family.series(&[("stage", stage.as_str())], stat.seconds);
+        }
+        let mut family = w.family(
+            "ptmap_stage_invocations_total",
+            Kind::Counter,
+            "Pipeline span entries by stage.",
+        );
+        for (stage, stat) in &spans {
+            family.series(&[("stage", stage.as_str())], stat.count);
+        }
+        let mut family = w.family(
+            "ptmap_pipeline_events_total",
+            Kind::Counter,
+            "Pipeline counters (cache, retries, jobs).",
+        );
+        for (event, n) in &counters {
+            family.series(&[("event", event.as_str())], *n);
+        }
+        w.scalar(
+            "ptmap_predictor_fallbacks_total",
+            Kind::Counter,
+            "Compiles that fell back to the analytical predictor because a GNN model failed \
+             to load.",
+            counters.get("predictor_fallbacks").copied().unwrap_or(0),
+        );
+        if let Some(engine) = &self.learn {
+            engine.expose_metrics(&mut w);
+        }
+        w.finish()
     }
 
     /// `POST /compile`: admission check, coalesced compile, synchronous
@@ -548,13 +618,8 @@ impl Service for ServerState {
         if let Some(dir) = self.cache.dir() {
             let probe = dir.join(".healthz-probe");
             if std::fs::write(&probe, b"ok").is_err() {
-                return Response::json(
-                    503,
-                    format!(
-                        "{{\"status\":\"cache dir {} not writable\"}}",
-                        dir.display()
-                    ),
-                );
+                let status = format!("cache dir {} not writable", dir.display());
+                return Response::json(503, format!("{{\"status\":{}}}", json_string(&status)));
             }
             let _ = std::fs::remove_file(&probe);
         }
@@ -719,5 +784,60 @@ fn run_async_job(state: &ServerState, spec: &JobSpec) -> JobOutcome {
                 )
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptmap_trace::prom::check_prometheus_text;
+
+    fn bind() -> Server {
+        Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn metrics_text_is_valid_prometheus() {
+        let server = bind();
+        let state = &server.state;
+        let metrics = &state.core.metrics;
+        metrics.observe_request("compile", 200, Duration::from_millis(30));
+        metrics.observe_request("compile", 504, Duration::from_millis(1));
+        metrics.reject("deadline");
+        metrics.compile_started();
+        state.recorder.add_seconds("map", 1.25);
+        state.recorder.incr("jobs_ok", 9);
+        let text = server.handle().metrics_text();
+
+        check_prometheus_text(&text).expect("must parse");
+        assert!(text.contains("ptmap_build_info{version=\""));
+        assert!(text.contains("ptmap_http_requests_total{endpoint=\"compile\",code=\"200\"} 1"));
+        assert!(text.contains("ptmap_http_requests_total{endpoint=\"compile\",code=\"504\"} 1"));
+        let bucket = "ptmap_http_request_seconds_bucket{endpoint=\"compile\"";
+        assert!(text.contains(&format!("{bucket},le=\"1.0\"}} 2\n")));
+        assert!(text.contains(&format!("{bucket},le=\"+Inf\"}} 2\n")));
+        assert!(text.contains("ptmap_http_request_seconds_count{endpoint=\"compile\"} 2\n"));
+        for q in ["0.5", "0.95", "0.99"] {
+            let series = "ptmap_http_request_quantile_seconds{endpoint=\"compile\"";
+            assert!(text.contains(&format!("{series},quantile=\"{q}\"}}")));
+        }
+        assert!(text.contains("ptmap_admission_rejects_total{reason=\"deadline\"} 1"));
+        assert!(text.contains("\nptmap_compiles_started_total 1\n"));
+        assert!(text.contains("\nptmap_coalesced_requests_total 0\n"));
+        assert!(text.contains("\nptmap_queue_depth 0\n"));
+        assert!(text.contains("\nptmap_trace_store_entries 0\n"));
+        assert!(text.contains("\nptmap_cache_hits_total 0\n"));
+        assert!(text.contains("ptmap_stage_seconds_total{stage=\"map\"} 1.25\n"));
+        assert!(text.contains("ptmap_stage_invocations_total{stage=\"map\"} 1\n"));
+        assert!(text.contains("ptmap_pipeline_events_total{event=\"jobs_ok\"} 9\n"));
+        assert!(text.contains("\nptmap_predictor_fallbacks_total 0\n"));
+        assert!(
+            !text.contains("ptmap_model_version"),
+            "no learner, no learn series"
+        );
     }
 }

@@ -92,7 +92,7 @@ impl Core {
         ptmap_trace::obs::install(Arc::clone(&log));
         let core = Core {
             log,
-            metrics: ServiceMetrics::new(),
+            metrics: ServiceMetrics::default(),
             root: Budget::cancellable(),
             drain_timeout,
             stop: AtomicBool::new(false),
@@ -201,14 +201,21 @@ pub(crate) fn parse_spec(body: &[u8]) -> Result<JobSpec, Response> {
 /// (`bad-deadline`, `bad-quality`, `bad-spec`) so clients can tell
 /// *which* input was malformed without string matching.
 fn bad_request(reason: &str, message: String) -> Response {
-    Response::json(
-        400,
-        format!("{{\"error\":{message:?},\"reason\":{reason:?}}}"),
-    )
+    let body = format!(
+        "{{\"error\":{},\"reason\":{}}}",
+        json_string(&message),
+        json_string(reason)
+    );
+    Response::json(400, body)
 }
 
 pub(crate) fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":{message:?}}}"))
+    Response::json(status, format!("{{\"error\":{}}}", json_string(message)))
+}
+
+/// `text` as a JSON string literal, quotes included.
+pub(crate) fn json_string(text: &str) -> String {
+    serde_json::to_string(text).expect("a string always encodes")
 }
 
 /// Stamps a load-shedding 503 with the retry hint every rejected
@@ -351,20 +358,7 @@ pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl
 
     // Flush where an operator (or the CI smoke test) can see it after
     // the port is gone.
-    for (endpoint, count, p50, p95, p99) in core.metrics.latency_quantiles() {
-        core.log.info(
-            "latency",
-            None,
-            "",
-            &[
-                ("endpoint", AttrValue::Str(endpoint)),
-                ("count", count.into()),
-                ("p50_s", p50.into()),
-                ("p95_s", p95.into()),
-                ("p99_s", p99.into()),
-            ],
-        );
-    }
+    core.metrics.log_latency(&core.log);
     core.log.dump_to_stderr("drain");
     eprintln!("--- final metrics ---\n{}", state.metrics_text(false));
     let mut fields = vec![("requests", core.metrics.requests_total().into())];
@@ -458,7 +452,7 @@ fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'sta
             let id_text = &path["/jobs/".len()..];
             let response = match id_text.parse::<u64>() {
                 Ok(id) => state.poll(id),
-                Err(_) => Response::json(400, format!("{{\"error\":\"bad job id {id_text:?}\"}}")),
+                Err(_) => error_response(400, &format!("bad job id {id_text:?}")),
             };
             ("jobs_poll", response)
         }

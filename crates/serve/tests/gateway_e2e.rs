@@ -9,11 +9,11 @@
 //! other's faults.
 
 use ptmap_governor::faultpoint;
-use ptmap_serve::metrics::check_prometheus_text;
 use ptmap_serve::{
     run_loadtest, DrainSummary, Gateway, GatewayConfig, GatewaySummary, LoadtestConfig,
     ServeConfig, Server, ServiceHandle,
 };
+use ptmap_trace::prom::check_prometheus_text;
 use ptmap_trace::AttrValue;
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -315,6 +315,32 @@ fn gateway_rejects_malformed_headers_before_forwarding() {
         assert_eq!(reply.status, 404, "{path}: {}", reply.body);
         assert!(reply.body.contains("\"error\""), "{path}: {}", reply.body);
     }
+
+    // Error bodies are JSON whatever the input echoes back: a
+    // non-numeric job id (quotes) and a control character in the spec.
+    let reply = http(gw.addr, "GET", "/jobs/x", &[], "");
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    let doc = json(&reply.body);
+    assert_eq!(
+        doc.get("error").and_then(Value::as_str),
+        Some("bad job id \"x\"")
+    );
+    let reply = http(
+        gw.addr,
+        "POST",
+        "/compile",
+        &[],
+        "{\"kernel\":\"\\u0001\",\"arch\":\"S4\"}",
+    );
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    let doc = json(&reply.body);
+    let message = doc.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        message.starts_with("unknown kernel \u{1} "),
+        "{}",
+        reply.body
+    );
+    assert_eq!(doc.get("reason").and_then(Value::as_str), Some("bad-spec"));
 
     gw.stop();
     daemon.stop();

@@ -5,8 +5,8 @@
 
 use ptmap_gnn::{ModelConfig, TrainConfig};
 use ptmap_learn::LearnConfig;
-use ptmap_serve::metrics::check_prometheus_text;
 use ptmap_serve::{DrainSummary, ServeConfig, Server, ServiceHandle};
+use ptmap_trace::prom::check_prometheus_text;
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -6,8 +6,8 @@
 //! signal path and exit code are exercised for real.
 
 use ptmap_governor::faultpoint;
-use ptmap_serve::metrics::check_prometheus_text;
 use ptmap_serve::{DrainSummary, ServeConfig, Server, ServiceHandle};
+use ptmap_trace::prom::check_prometheus_text;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -666,8 +666,34 @@ fn bad_requests_and_unknown_routes() {
         assert_eq!(reply.status, 404, "{path}: {}", reply.body);
         assert!(reply.body.contains("\"error\""), "{path}: {}", reply.body);
     }
+    // Error bodies are JSON whatever the input echoes back: a
+    // non-numeric job id (quotes) and a control character in the spec.
+    let reply = http(addr, "GET", "/jobs/x", &[], "");
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert_eq!(error_message(&reply.body), "bad job id \"x\"");
+    let reply = http(addr, "POST", "/compile", &[], CONTROL_CHAR_SPEC);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        error_message(&reply.body).starts_with("unknown kernel \u{1} "),
+        "{}",
+        reply.body
+    );
     handle.shutdown();
     runner.join().unwrap();
+}
+
+/// A spec whose kernel name is U+0001, JSON-escaped.
+const CONTROL_CHAR_SPEC: &str = "{\"kernel\":\"\\u0001\",\"arch\":\"S4\"}";
+
+/// The `error` string of a JSON error body; panics unless the body
+/// parses as JSON.
+fn error_message(body: &str) -> String {
+    let doc: serde_json::Value =
+        serde_json::from_str(body).unwrap_or_else(|e| panic!("bad JSON ({e}): {body}"));
+    doc.get("error")
+        .and_then(serde_json::Value::as_str)
+        .unwrap_or_else(|| panic!("no error field: {body}"))
+        .to_string()
 }
 
 #[test]

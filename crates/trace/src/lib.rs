@@ -34,6 +34,9 @@
 //! from the trace ID hash (stable across processes) whether a finished
 //! trace is exported, with a slow-compile threshold that force-keeps
 //! outliers regardless of the sample fraction.
+//!
+//! [`prom`] is the workspace's one writer of the Prometheus text
+//! exposition format, with its one bucketed [`prom::Histogram`].
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,17 +45,21 @@ use std::time::{Duration, Instant};
 
 mod chrome;
 pub mod obs;
+pub mod prom;
 mod stitch;
 
 pub use chrome::chrome_trace_json;
 pub use stitch::{stitch, FORWARD_SPAN, WINNER_ATTR};
 
-/// Locks a mutex, recovering from poisoning. A panicking compile (the
-/// pipeline isolates it with `catch_unwind`) must not wedge the trace
-/// it was writing: every guarded value (the span vector) is valid
-/// after any interrupted mutation, since records are pushed or field-
-/// assigned atomically from the structure's point of view.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks a mutex, recovering from poisoning. The workspace's shared
+/// state (trace span vectors, the recorder and report cache, the
+/// daemon's maps, the learner's queues) outlives any one compile or
+/// request, so a panicking one (isolated by `catch_unwind`) must not
+/// wedge it. Every guarded value is valid after an interrupted
+/// mutation, since pushes, inserts and counter bumps are atomic from
+/// the structure's point of view, so continuing past the poison marker
+/// is safe.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
