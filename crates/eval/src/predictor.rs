@@ -1,8 +1,10 @@
 //! Pluggable `(II, ProEpi)` predictors.
 
 use ptmap_arch::CgraArch;
+use ptmap_gnn::HwEmbedding;
 use ptmap_ir::Dfg;
 use ptmap_mapper::{map_dfg, MapperConfig};
+use std::sync::{Arc, Mutex};
 
 /// Predicts the mapped II and pipeline fill/drain cycles of a DFG on an
 /// architecture, without (necessarily) running loop scheduling.
@@ -22,11 +24,20 @@ pub trait IiPredictor {
 }
 
 /// GNN-backed predictor (the PT-Map default).
+///
+/// Scores candidates on the tape-free inference path: the `G_hw` branch
+/// is embedded once per architecture and cached (shared across the
+/// threads that shard a job's candidates), and each candidate builds
+/// only its `G_sw` half.
 #[derive(Debug, Clone)]
 pub struct GnnPredictor {
     model: ptmap_gnn::PtMapGnn,
     version: Option<u64>,
+    hw: Arc<HwCache>,
 }
+
+/// The `G_hw` embeddings a [`GnnPredictor`] has computed, per architecture.
+type HwCache = Mutex<Vec<(CgraArch, HwEmbedding)>>;
 
 impl GnnPredictor {
     /// Wraps a (trained) model.
@@ -34,6 +45,7 @@ impl GnnPredictor {
         GnnPredictor {
             model,
             version: None,
+            hw: Arc::default(),
         }
     }
 
@@ -41,8 +53,8 @@ impl GnnPredictor {
     /// version into compile metrics for provenance.
     pub fn versioned(model: ptmap_gnn::PtMapGnn, version: u64) -> Self {
         GnnPredictor {
-            model,
             version: Some(version),
+            ..GnnPredictor::new(model)
         }
     }
 
@@ -50,12 +62,24 @@ impl GnnPredictor {
     pub fn model(&self) -> &ptmap_gnn::PtMapGnn {
         &self.model
     }
+
+    /// The model's `G_hw` embedding of `arch`, computed on first use.
+    fn embedding(&self, arch: &CgraArch) -> HwEmbedding {
+        let mut cache = self.hw.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, hw)) = cache.iter().find(|(a, _)| a == arch) {
+            return hw.clone();
+        }
+        let hw = self.model.embed_arch(arch);
+        cache.push((arch.clone(), hw.clone()));
+        hw
+    }
 }
 
 impl IiPredictor for GnnPredictor {
     fn predict(&self, dfg: &Dfg, arch: &CgraArch) -> (u32, u32) {
-        let input = ptmap_gnn::build_input(dfg, arch);
-        let p = self.model.predict(&input);
+        let hw = self.embedding(arch);
+        let input = ptmap_gnn::build_sw_input(dfg, arch);
+        let p = self.model.predict_sw(&input, &hw);
         (p.ii.max(1), p.pro_epi)
     }
 

@@ -125,8 +125,7 @@ impl<'a> Problem<'a> {
                     .collect()
             })
             .collect();
-        let asap = dfg.asap();
-        let alap = dfg.alap();
+        let ptmap_ir::Schedule { asap, alap, .. } = dfg.schedule();
         let order = canonical_order(dfg, &asap, &alap, &out_edges);
         Ok(Problem {
             dfg,

@@ -46,30 +46,149 @@ pub struct GnnInput {
     pub mii: u32,
 }
 
+/// The per-candidate half of the model input: `G_sw` and `Vec`.
+///
+/// Inference builds this for every transformation candidate and pairs
+/// it with an [`HwEmbedding`](crate::model::HwEmbedding) computed once
+/// per architecture. Unlike [`GnnInput`] it holds the attention mask as
+/// neighbour lists, not as a dense `n × n` matrix.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SwInput {
+    /// `[n_sw, SW_FEATS]` node features of the DFG.
+    pub sw_x: Matrix,
+    /// Attention neighbourhoods (directed edges both ways plus self
+    /// loops), the sparse form of [`GnnInput::sw_mask`].
+    pub neighbours: Neighbourhoods,
+    /// `[1, VEC_FEATS]` meta-data (scaled).
+    pub vec: Matrix,
+    /// Raw MII prior.
+    pub mii: u32,
+}
+
+/// Per-node neighbour lists in compressed-row form: node `i` attends
+/// over [`row(i)`](Self::row), ascending and deduplicated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Neighbourhoods {
+    offsets: Vec<usize>,
+    nodes: Vec<usize>,
+}
+
+impl Neighbourhoods {
+    /// Node `i`'s neighbours, ascending.
+    pub fn row(&self, i: usize) -> &[usize] {
+        &self.nodes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The nonzero entries of each row of a dense mask.
+    pub(crate) fn from_mask(mask: &Matrix) -> Self {
+        let mut offsets = vec![0];
+        let mut nodes = Vec::new();
+        for i in 0..mask.rows() {
+            nodes.extend((0..mask.cols()).filter(|&j| mask.get(i, j) > 0.0));
+            offsets.push(nodes.len());
+        }
+        Neighbourhoods { offsets, nodes }
+    }
+
+    /// The neighbourhoods of a DFG's nodes: self loops plus every edge,
+    /// in both directions.
+    fn of_dfg(dfg: &Dfg) -> Self {
+        let n = dfg.len();
+        let mut pairs: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for e in dfg.edges() {
+            let (s, d) = (e.src.index(), e.dst.index());
+            pairs.extend([(s, d), (d, s)]);
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut offsets = vec![0; n + 1];
+        for &(i, _) in &pairs {
+            offsets[i + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let nodes = pairs.into_iter().map(|(_, j)| j).collect();
+        Neighbourhoods { offsets, nodes }
+    }
+}
+
 /// Builds the full-featured input for a DFG/architecture pair.
 pub fn build_input(dfg: &Dfg, arch: &CgraArch) -> GnnInput {
+    let SwInput {
+        sw_x,
+        neighbours,
+        vec,
+        mii,
+    } = build_sw_input(dfg, arch);
+    let n = neighbours.len();
+    let mut sw_mask = Matrix::zeros(n, n);
+    for i in 0..n {
+        for &j in neighbours.row(i) {
+            sw_mask.set(i, j, 1.0);
+        }
+    }
+    let (hw_x, hw_adj) = hw_graph(arch);
+    GnnInput {
+        sw_x,
+        sw_mask,
+        hw_x,
+        hw_adj,
+        vec,
+        mii,
+    }
+}
+
+/// Builds the per-candidate input: the `G_sw` and `Vec` parts of
+/// [`build_input`], with the mask as neighbour lists.
+pub fn build_sw_input(dfg: &Dfg, arch: &CgraArch) -> SwInput {
+    let mii = ptmap_mapper::mii(dfg, arch);
+    let (sw_x, vec) = sw_features(dfg, mii);
+    SwInput {
+        sw_x,
+        neighbours: Neighbourhoods::of_dfg(dfg),
+        vec,
+        mii,
+    }
+}
+
+/// `G_sw` node features and the `Vec` row of a DFG.
+fn sw_features(dfg: &Dfg, mii: u32) -> (Matrix, Matrix) {
     let n = dfg.len();
-    let asap = dfg.asap();
-    let alap = dfg.alap();
+    let schedule = dfg.schedule();
+    let (in_degree, out_degree) = dfg.degrees();
     let mut sw_x = Matrix::zeros(n, SW_FEATS);
     for (i, node) in dfg.nodes().iter().enumerate() {
         sw_x.set(i, node.op.code(), 1.0);
         let base = OpKind::ALL.len();
-        sw_x.set(i, base, dfg.in_degree(node.id) as f32 / 4.0);
-        sw_x.set(i, base + 1, dfg.out_degree(node.id) as f32 / 4.0);
-        sw_x.set(i, base + 2, asap[i] as f32 / 16.0);
-        sw_x.set(i, base + 3, alap[i] as f32 / 16.0);
+        sw_x.set(i, base, in_degree[i] as f32 / 4.0);
+        sw_x.set(i, base + 1, out_degree[i] as f32 / 4.0);
+        sw_x.set(i, base + 2, schedule.asap[i] as f32 / 16.0);
+        sw_x.set(i, base + 3, schedule.alap[i] as f32 / 16.0);
         sw_x.set(i, base + 4, node.latency() as f32 / 4.0);
     }
-    let mut sw_mask = Matrix::zeros(n, n);
-    for i in 0..n {
-        sw_mask.set(i, i, 1.0);
-    }
-    for e in dfg.edges() {
-        sw_mask.set(e.src.index(), e.dst.index(), 1.0);
-        sw_mask.set(e.dst.index(), e.src.index(), 1.0);
-    }
+    let max_fanout = out_degree.iter().copied().max().unwrap_or(0);
+    let vec = Matrix::row(vec![
+        mii as f32 / 16.0,
+        max_fanout as f32 / 8.0,
+        schedule.critical_path as f32 / 32.0,
+    ]);
+    (sw_x, vec)
+}
 
+/// `G_hw` of an architecture: `[n_hw, HW_FEATS]` node features and the
+/// `[n_hw, n_hw]` symmetric-normalized adjacency with self loops.
+pub(crate) fn hw_graph(arch: &CgraArch) -> (Matrix, Matrix) {
     let pe_count = arch.pe_count();
     let has_grf = arch.grf_size() > 0;
     let m = pe_count + usize::from(has_grf);
@@ -102,39 +221,24 @@ pub fn build_input(dfg: &Dfg, arch: &CgraArch) -> GnnInput {
             adj.set(pe_count, i, 1.0);
         }
     }
-    let hw_adj = sym_normalize(&adj);
-
-    let mii = ptmap_mapper::mii(dfg, arch);
-    let vec = Matrix::row(vec![
-        mii as f32 / 16.0,
-        dfg.max_fanout() as f32 / 8.0,
-        dfg.critical_path() as f32 / 32.0,
-    ]);
-
-    GnnInput {
-        sw_x,
-        sw_mask,
-        hw_x,
-        hw_adj,
-        vec,
-        mii,
-    }
+    (hw_x, sym_normalize(&adj))
 }
 
 /// Zeroes the extended attributes, producing the GNN-b ablation's input.
 pub fn strip_extended(input: &GnnInput) -> GnnInput {
     let mut out = input.clone();
-    for i in 0..out.sw_x.rows() {
-        for j in SW_EXT_START..SW_FEATS {
-            out.sw_x.set(i, j, 0.0);
-        }
-    }
-    for i in 0..out.hw_x.rows() {
-        for j in HW_EXT_START..HW_FEATS {
-            out.hw_x.set(i, j, 0.0);
-        }
-    }
+    zero_from(&mut out.sw_x, SW_EXT_START);
+    zero_from(&mut out.hw_x, HW_EXT_START);
     out
+}
+
+/// Zeroes every column from `start` on (the GNN-b feature stripping).
+pub(crate) fn zero_from(m: &mut Matrix, start: usize) {
+    for i in 0..m.rows() {
+        for j in start..m.cols() {
+            m.set(i, j, 0.0);
+        }
+    }
 }
 
 /// `D^{-1/2} (A) D^{-1/2}` (A already contains self loops).

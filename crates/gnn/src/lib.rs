@@ -12,7 +12,8 @@
 //!   (gradient-checked in its tests);
 //! * [`features`] — the Tab. 3 input representations;
 //! * [`model`] — the Fig. 5d architecture with the three Tab. 2 task
-//!   heads and the Fig. 6 ablation variants;
+//!   heads and the Fig. 6 ablation variants: a tape forward for
+//!   training and a tape-free one for inference, bit-identical heads;
 //! * [`mod@train`] — Adam, the two-term II-residual loss, alternating
 //!   multi-task training, and MAPE evaluation;
 //! * [`dataset`] — synthetic dataset generation labeled by the
@@ -46,8 +47,8 @@ pub mod tensor;
 pub mod train;
 
 pub use dataset::{DatasetConfig, Sample};
-pub use features::{build_input, GnnInput};
-pub use model::{GnnVariant, ModelConfig, Prediction, PtMapGnn};
+pub use features::{build_input, build_sw_input, GnnInput, SwInput};
+pub use model::{GnnVariant, Heads, HwEmbedding, ModelConfig, Prediction, PtMapGnn};
 pub use tensor::Matrix;
 pub use train::{
     fine_tune, mape_cycles, mape_cycles_detailed, mape_cycles_mii, mape_cycles_mii_detailed, train,

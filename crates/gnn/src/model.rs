@@ -14,16 +14,21 @@
 //! The ablation variants of Fig. 6 are selected by [`GnnVariant`].
 
 use crate::autograd::{Graph, Var};
-use crate::features::{self, GnnInput};
+use crate::features::{self, GnnInput, Neighbourhoods, SwInput};
+use crate::tensor::Matrix;
 use crate::train::Param;
+use ptmap_arch::CgraArch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Internal scale applied to the ProEpi regression target.
 pub const PROEPI_SCALE: f32 = 0.1;
 /// Internal scale applied to the II-residual regression target.
 pub const RES_SCALE: f32 = 0.25;
+/// Negative slope of the GAT attention scores' leaky ReLU.
+const GAT_SLOPE: f32 = 0.2;
 
 /// Model variants (the paper's Fig. 6 ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -83,7 +88,9 @@ struct GcnParams {
 /// The predictive model: parameters plus forward/predict logic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PtMapGnn {
-    /// Configuration this model was built with.
+    /// Configuration this model was built with. Fixed after
+    /// construction: the memoized [`digest`](Self::digest) assumes only
+    /// [`params_mut`](Self::params_mut) changes a model.
     pub config: ModelConfig,
     gat: Vec<GatParams>,
     gcn: Vec<GcnParams>,
@@ -103,6 +110,10 @@ pub struct PtMapGnn {
     head_res_b: Param,
     head_pe_w: Param,
     head_pe_b: Param,
+    /// Memoized content digest (see [`digest`](Self::digest)). Clones
+    /// share the cell; [`params_mut`](Self::params_mut) replaces it.
+    #[serde(skip)]
+    digest: Arc<OnceLock<String>>,
 }
 
 /// Forward-pass outputs (task heads) plus the parameter vars needed to
@@ -125,6 +136,127 @@ pub struct Prediction {
     pub ii: u32,
     /// Predicted pipeline fill/drain cycles.
     pub pro_epi: u32,
+}
+
+/// Raw task-head values of one forward pass (see [`Forward`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Heads {
+    /// Equivalence logits.
+    pub eq_logits: [f32; 2],
+    /// Scaled II-residual (or direct II for `Direct`).
+    pub res: f32,
+    /// Scaled ProEpi.
+    pub pro_epi: f32,
+}
+
+impl Heads {
+    /// Decodes the heads into integer metrics per Eqn. 3–4.
+    pub fn prediction(&self, variant: GnnVariant, mii: u32) -> Prediction {
+        let pro_epi = (self.pro_epi / PROEPI_SCALE).round().max(0.0) as u32;
+        let ii = match variant {
+            // Direct variant: `res` regresses the raw II.
+            GnnVariant::Direct => (self.res / RES_SCALE).round().max(1.0) as u32,
+            _ => {
+                if self.eq_logits[1] >= self.eq_logits[0] {
+                    mii
+                } else {
+                    let res = (self.res / RES_SCALE).round().max(0.0) as u32;
+                    mii + res.max(1)
+                }
+            }
+        };
+        Prediction { ii, pro_epi }
+    }
+}
+
+/// The pooled `G_hw` vector (`[1, hidden]`) of one architecture under
+/// one model; see [`PtMapGnn::embed_arch`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HwEmbedding(Matrix);
+
+/// Adds a `[1, d]` bias row to every row, as [`Graph::add_row`] does.
+fn add_bias(mut x: Matrix, b: &Param) -> Matrix {
+    let cols = x.cols();
+    for row in x.as_mut_slice().chunks_mut(cols) {
+        for (v, &bj) in row.iter_mut().zip(b.value.as_slice()) {
+            *v += bj;
+        }
+    }
+    x
+}
+
+/// `relu(x + b)`, as [`Graph::add_row`] then [`Graph::relu`].
+fn bias_relu(x: Matrix, b: &Param) -> Matrix {
+    let mut x = add_bias(x, b);
+    for v in x.as_mut_slice() {
+        *v = v.max(0.0);
+    }
+    x
+}
+
+/// A fully connected layer with ReLU: `relu(x·w + b)`.
+fn dense(x: &Matrix, w: &Param, b: &Param) -> Matrix {
+    bias_relu(x.matmul(&w.value), b)
+}
+
+/// Graph pooling: the mean node embedding concatenated with a
+/// count-scaled copy, projected by a dense layer (see
+/// [`PtMapGnn::forward`]).
+fn pool(x: &Matrix, w: &Param, b: &Param) -> Matrix {
+    let n = x.rows().max(1) as f32;
+    let mut mean = vec![0.0f32; x.cols()];
+    for row in x.as_slice().chunks(x.cols()) {
+        for (m, &v) in mean.iter_mut().zip(row) {
+            *m += v / n;
+        }
+    }
+    let c = x.rows() as f32 / 16.0;
+    let scaled: Vec<f32> = mean.iter().map(|&v| c * v).collect();
+    dense(&Matrix::row([mean, scaled].concat()), w, b)
+}
+
+/// One GAT layer over neighbour lists. Same float order as the tape's
+/// masked dense softmax: leaky-ReLU of `s_i + d_j`, then the row max and
+/// the softmax denominator in ascending `j`, then `Σ a_ij·hw_j` in
+/// ascending `j`, skipping `a_ij == 0` as [`Matrix::matmul`] does.
+fn gat_layer(x: &Matrix, neighbours: &Neighbourhoods, p: &GatParams) -> Matrix {
+    let hw = x.matmul(&p.w.value);
+    let s = hw.matmul(&p.a_src.value);
+    let d = hw.matmul(&p.a_dst.value);
+    let h = hw.cols();
+    let mut agg = Matrix::zeros(hw.rows(), h);
+    let mut scores = Vec::new();
+    for i in 0..hw.rows() {
+        let row = neighbours.row(i);
+        scores.clear();
+        scores.extend(row.iter().map(|&j| {
+            let v = s.get(i, 0) + d.get(j, 0);
+            if v > 0.0 {
+                v
+            } else {
+                GAT_SLOPE * v
+            }
+        }));
+        let maxv = scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        if maxv == f32::NEG_INFINITY {
+            continue;
+        }
+        let mut denom = 0.0;
+        for &v in &scores {
+            denom += (v - maxv).exp();
+        }
+        let out = &mut agg.as_mut_slice()[i * h..(i + 1) * h];
+        for (&j, &v) in row.iter().zip(&scores) {
+            let a = (v - maxv).exp() / denom;
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &hj) in out.iter_mut().zip(&hw.as_slice()[j * h..(j + 1) * h]) {
+                *o += a * hj;
+            }
+        }
+    }
+    bias_relu(agg, &p.b)
 }
 
 impl PtMapGnn {
@@ -173,6 +305,7 @@ impl PtMapGnn {
             head_pe_w: Param::xavier(h, 1, &mut rng),
             head_pe_b: Param::zeros(1, 1),
             config,
+            digest: Arc::default(),
         }
     }
 
@@ -207,7 +340,10 @@ impl PtMapGnn {
     }
 
     /// Mutable parameter list in the same order as [`params`](Self::params).
+    /// Forgets the memoized [`digest`](Self::digest); clones taken
+    /// earlier keep theirs.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.digest = Arc::default();
         let mut out: Vec<&mut Param> = Vec::new();
         for g in &mut self.gat {
             out.push(&mut g.w);
@@ -276,7 +412,7 @@ impl PtMapGnn {
             let s = g.matmul(hw, a_s);
             let d = g.matmul(hw, a_d);
             let scores = g.broadcast_sum(s, d);
-            let scores = g.leaky_relu(scores, 0.2);
+            let scores = g.leaky_relu(scores, GAT_SLOPE);
             let att = g.masked_softmax_rows(scores, mask);
             let agg = g.matmul(att, hw);
             let agg = g.add_row(agg, b);
@@ -356,30 +492,105 @@ impl PtMapGnn {
         }
     }
 
-    /// Predicts integer metrics per Eqn. 3–4.
+    /// Predicts integer metrics per Eqn. 3–4 from a dense input.
     pub fn predict(&self, input: &GnnInput) -> Prediction {
-        let mut g = Graph::new();
-        let out = self.forward(&mut g, input);
-        let pro_epi = (g.value(out.pro_epi).get(0, 0) / PROEPI_SCALE)
-            .round()
-            .max(0.0) as u32;
-        let ii = match self.config.variant {
-            GnnVariant::Direct => {
-                // Direct variant: `res` regresses the raw II.
-                (g.value(out.res).get(0, 0) / RES_SCALE).round().max(1.0) as u32
-            }
-            _ => {
-                let l = g.value(out.eq_logits);
-                let equal = l.get(0, 1) >= l.get(0, 0);
-                if equal {
-                    input.mii
-                } else {
-                    let res = (g.value(out.res).get(0, 0) / RES_SCALE).round().max(0.0) as u32;
-                    input.mii + res.max(1)
-                }
-            }
+        let hw = self.embed_hw(&input.hw_x, &input.hw_adj);
+        let neighbours = Neighbourhoods::from_mask(&input.sw_mask);
+        self.sw_heads(&input.sw_x, &neighbours, &input.vec, &hw)
+            .prediction(self.config.variant, input.mii)
+    }
+
+    /// Predicts integer metrics for one candidate against a `G_hw`
+    /// embedding from [`embed_arch`](Self::embed_arch). Equal to
+    /// [`predict`](Self::predict) on the candidate's [`build_input`].
+    ///
+    /// [`build_input`]: crate::features::build_input
+    pub fn predict_sw(&self, sw: &SwInput, hw: &HwEmbedding) -> Prediction {
+        self.heads(sw, hw).prediction(self.config.variant, sw.mii)
+    }
+
+    /// The `G_hw` branch for an architecture: the GCN stack and its
+    /// pooling. It depends only on the model and the architecture, so
+    /// inference computes it once per architecture.
+    pub fn embed_arch(&self, arch: &CgraArch) -> HwEmbedding {
+        let (hw_x, hw_adj) = features::hw_graph(arch);
+        self.embed_hw(&hw_x, &hw_adj)
+    }
+
+    /// The raw task heads of the tape-free forward pass. Bit-identical
+    /// to the heads of [`forward`](Self::forward) on the same candidate.
+    pub fn heads(&self, sw: &SwInput, hw: &HwEmbedding) -> Heads {
+        self.sw_heads(&sw.sw_x, &sw.neighbours, &sw.vec, hw)
+    }
+
+    fn embed_hw(&self, hw_x: &Matrix, hw_adj: &Matrix) -> HwEmbedding {
+        let mut x = hw_x.clone();
+        if self.config.variant == GnnVariant::Basic {
+            features::zero_from(&mut x, features::HW_EXT_START);
+        }
+        for layer in &self.gcn {
+            let prop = hw_adj.matmul(&x.matmul(&layer.w.value));
+            x = bias_relu(prop, &layer.b);
+        }
+        HwEmbedding(pool(&x, &self.pool_hw_w, &self.pool_hw_b))
+    }
+
+    /// The forward pass after the `G_hw` branch, in the same float
+    /// order as [`forward`](Self::forward).
+    fn sw_heads(
+        &self,
+        sw_x: &Matrix,
+        neighbours: &Neighbourhoods,
+        vec: &Matrix,
+        hw: &HwEmbedding,
+    ) -> Heads {
+        let mut x = sw_x.clone();
+        if self.config.variant == GnnVariant::Basic {
+            features::zero_from(&mut x, features::SW_EXT_START);
+        }
+        for layer in &self.gat {
+            x = gat_layer(&x, neighbours, layer);
+        }
+        let sw_vec = pool(&x, &self.pool_sw_w, &self.pool_sw_b);
+        let hw_vec = hw.0.as_slice();
+        let aligned_in = if self.config.variant == GnnVariant::NoAlign {
+            [sw_vec.as_slice(), hw_vec].concat()
+        } else {
+            sw_vec
+                .as_slice()
+                .iter()
+                .flat_map(|&a| hw_vec.iter().map(move |&b| a * b))
+                .collect()
         };
-        Prediction { ii, pro_epi }
+        let aligned = dense(&Matrix::row(aligned_in), &self.align_w, &self.align_b);
+        let vec_h = dense(vec, &self.vec_w, &self.vec_b);
+        let fused: Vec<f32> = if self.config.variant == GnnVariant::NoAlign {
+            aligned.as_slice().to_vec()
+        } else {
+            aligned
+                .as_slice()
+                .iter()
+                .zip(vec_h.as_slice())
+                .map(|(p, q)| p * q)
+                .collect()
+        };
+        let unified = Matrix::row([fused.as_slice(), vec_h.as_slice()].concat());
+        let shared = dense(&unified, &self.shared_w, &self.shared_b);
+        let head = |w: &Param, b: &Param| add_bias(shared.matmul(&w.value), b);
+        let eq = head(&self.head_eq_w, &self.head_eq_b);
+        Heads {
+            eq_logits: [eq.get(0, 0), eq.get(0, 1)],
+            res: head(&self.head_res_w, &self.head_res_b).get(0, 0),
+            pro_epi: head(&self.head_pe_w, &self.head_pe_b).get(0, 0),
+        }
+    }
+
+    /// The model's content digest: `compute(self)` on first use, then
+    /// the memoized value, shared with every clone taken since the last
+    /// [`params_mut`](Self::params_mut). Every caller must pass the same
+    /// pure `compute`; the cache key is the one user.
+    pub fn digest(&self, compute: impl FnOnce(&Self) -> String) -> &str {
+        self.digest.get_or_init(|| compute(self))
     }
 
     /// Serializes the model (weights, Adam moments, config) to a
@@ -449,21 +660,18 @@ mod tests {
             GnnVariant::NoAlign,
             GnnVariant::Direct,
         ] {
-            let model = PtMapGnn::new(ModelConfig {
+            let mut model = PtMapGnn::new(ModelConfig {
                 variant,
                 ..ModelConfig::default()
             });
-            assert_eq!(
-                model.params().len(),
-                model
-                    .param_count()
-                    .max(1)
-                    .min(model.params().len())
-                    .max(model.params().len())
-            );
+            let shape = |m: &Matrix| (m.rows(), m.cols());
+            let shapes: Vec<_> = model.params().iter().map(|p| shape(&p.value)).collect();
             let mut g = Graph::new();
             let out = model.forward(&mut g, &input());
-            assert_eq!(out.param_vars.len(), model.params().len());
+            let var_shapes: Vec<_> = out.param_vars.iter().map(|&v| shape(g.value(v))).collect();
+            assert_eq!(var_shapes, shapes, "{variant:?}: param_vars vs params");
+            let mut_shapes: Vec<_> = model.params_mut().iter().map(|p| shape(&p.value)).collect();
+            assert_eq!(mut_shapes, shapes, "{variant:?}: params_mut vs params");
         }
     }
 

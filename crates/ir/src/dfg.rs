@@ -166,22 +166,16 @@ impl Dfg {
         self.edges.iter().filter(move |e| e.src == n)
     }
 
-    /// In-degree (number of incoming edges).
-    pub fn in_degree(&self, n: NodeId) -> usize {
-        self.preds(n).count()
-    }
-
-    /// Out-degree (number of outgoing edges).
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        self.succs(n).count()
-    }
-
-    /// Maximum out-degree over all nodes (the `Max Fanout` GNN feature).
-    pub fn max_fanout(&self) -> usize {
-        (0..self.nodes.len())
-            .map(|i| self.out_degree(NodeId(i as u32)))
-            .max()
-            .unwrap_or(0)
+    /// In- and out-degree (incoming and outgoing edge counts) of every
+    /// node, from one pass over the edges.
+    pub fn degrees(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut in_degree = vec![0; self.nodes.len()];
+        let mut out_degree = vec![0; self.nodes.len()];
+        for e in &self.edges {
+            in_degree[e.dst.index()] += 1;
+            out_degree[e.src.index()] += 1;
+        }
+        (in_degree, out_degree)
     }
 
     /// Count of nodes per operation class.
@@ -209,17 +203,61 @@ impl Dfg {
     /// Panics if the distance-0 subgraph has a cycle (a malformed DFG;
     /// [`validate`](Self::validate) catches this).
     pub fn asap(&self) -> Vec<u32> {
-        let order = self
-            .topo_order_dist0()
-            .expect("dist-0 subgraph must be acyclic");
+        let adj = Dist0::new(self);
+        let order = adj.topo_order().expect("dist-0 subgraph must be acyclic");
+        self.asap_in(&adj, &order)
+    }
+
+    /// ALAP start times against the ASAP schedule length.
+    pub fn alap(&self) -> Vec<u32> {
+        self.schedule().alap
+    }
+
+    /// Length of the critical path (cycles) through distance-0 edges,
+    /// including the latency of the last node.
+    pub fn critical_path(&self) -> u32 {
+        self.horizon(&self.asap())
+    }
+
+    /// ASAP and ALAP start times and the critical path length, from one
+    /// topological sort and one ASAP pass. Equal to [`asap`](Self::asap),
+    /// [`alap`](Self::alap) and [`critical_path`](Self::critical_path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the distance-0 subgraph has a cycle.
+    pub fn schedule(&self) -> Schedule {
+        let adj = Dist0::new(self);
+        let order = adj.topo_order().expect("dist-0 subgraph must be acyclic");
+        let asap = self.asap_in(&adj, &order);
+        let horizon = self.horizon(&asap);
+        let mut alap: Vec<u32> = self
+            .nodes
+            .iter()
+            .map(|n| horizon.saturating_sub(n.latency()))
+            .collect();
+        for &n in order.iter().rev() {
+            for &dst in &adj.succs[n] {
+                let cand = alap[dst].saturating_sub(self.nodes[n].latency());
+                alap[n] = alap[n].min(cand);
+            }
+        }
+        Schedule {
+            asap,
+            alap,
+            critical_path: horizon,
+        }
+    }
+
+    /// Topological order of the distance-0 subgraph, or `None` on a cycle.
+    pub fn topo_order_dist0(&self) -> Option<Vec<usize>> {
+        Dist0::new(self).topo_order()
+    }
+
+    fn asap_in(&self, adj: &Dist0, order: &[usize]) -> Vec<u32> {
         let mut asap = vec![0u32; self.nodes.len()];
-        for &n in &order {
-            for e in self
-                .edges
-                .iter()
-                .filter(|e| e.dist == 0 && e.dst.index() == n)
-            {
-                let src = e.src.index();
+        for &n in order {
+            for &src in &adj.preds[n] {
                 let cand = asap[src] + self.nodes[src].latency();
                 asap[n] = asap[n].max(cand);
             }
@@ -227,72 +265,14 @@ impl Dfg {
         asap
     }
 
-    /// ALAP start times against the ASAP schedule length.
-    pub fn alap(&self) -> Vec<u32> {
-        let asap = self.asap();
-        let horizon = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| asap[i] + n.latency())
-            .max()
-            .unwrap_or(0);
-        let order = self
-            .topo_order_dist0()
-            .expect("dist-0 subgraph must be acyclic");
-        let mut alap: Vec<u32> = self
-            .nodes
-            .iter()
-            .map(|n| horizon.saturating_sub(n.latency()))
-            .collect();
-        for &n in order.iter().rev() {
-            for e in self
-                .edges
-                .iter()
-                .filter(|e| e.dist == 0 && e.src.index() == n)
-            {
-                let cand = alap[e.dst.index()].saturating_sub(self.nodes[n].latency());
-                alap[n] = alap[n].min(cand);
-            }
-        }
-        alap
-    }
-
-    /// Length of the critical path (cycles) through distance-0 edges,
-    /// including the latency of the last node.
-    pub fn critical_path(&self) -> u32 {
-        let asap = self.asap();
+    /// The latest finish time of the schedule `asap`.
+    fn horizon(&self, asap: &[u32]) -> u32 {
         self.nodes
             .iter()
             .enumerate()
             .map(|(i, n)| asap[i] + n.latency())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Topological order of the distance-0 subgraph, or `None` on a cycle.
-    pub fn topo_order_dist0(&self) -> Option<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        for e in self.edges.iter().filter(|e| e.dist == 0) {
-            indeg[e.dst.index()] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop() {
-            order.push(v);
-            for e in self
-                .edges
-                .iter()
-                .filter(|e| e.dist == 0 && e.src.index() == v)
-            {
-                indeg[e.dst.index()] -= 1;
-                if indeg[e.dst.index()] == 0 {
-                    queue.push(e.dst.index());
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
     }
 
     /// Checks structural invariants: edge endpoints in range, positive
@@ -321,6 +301,57 @@ impl Dfg {
         } else {
             Err(problems)
         }
+    }
+}
+
+/// Schedule bounds of a DFG's distance-0 subgraph (see [`Dfg::schedule`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    /// ASAP start time per node.
+    pub asap: Vec<u32>,
+    /// ALAP start time per node, against the ASAP schedule length.
+    pub alap: Vec<u32>,
+    /// Critical path length in cycles, including the last node's latency.
+    pub critical_path: u32,
+}
+
+/// Per-node distance-0 neighbours: `preds[n]` holds the source of every
+/// distance-0 edge into `n`, `succs[n]` the destination of every one out
+/// of `n`, each list in global edge order (duplicates kept), so a walk
+/// visits edges in the same order as a filtered scan of [`Dfg::edges`].
+struct Dist0 {
+    preds: Vec<Vec<usize>>,
+    succs: Vec<Vec<usize>>,
+}
+
+impl Dist0 {
+    fn new(dfg: &Dfg) -> Self {
+        let n = dfg.nodes.len();
+        let mut preds = vec![Vec::new(); n];
+        let mut succs = vec![Vec::new(); n];
+        for e in dfg.edges.iter().filter(|e| e.dist == 0) {
+            preds[e.dst.index()].push(e.src.index());
+            succs[e.src.index()].push(e.dst.index());
+        }
+        Dist0 { preds, succs }
+    }
+
+    /// Kahn's algorithm with a LIFO work list, or `None` on a cycle.
+    fn topo_order(&self) -> Option<Vec<usize>> {
+        let n = self.preds.len();
+        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(v) = queue.pop() {
+            order.push(v);
+            for &dst in &self.succs[v] {
+                indeg[dst] -= 1;
+                if indeg[dst] == 0 {
+                    queue.push(dst);
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
     }
 }
 
@@ -774,7 +805,7 @@ mod tests {
         let (i, j) = (nest.loops[0], nest.loops[1]);
         let dfg = build_dfg(&p, &nest, &[(i, 1), (j, 4)]).unwrap();
         // A[i][k] load feeds 4 muls.
-        assert!(dfg.max_fanout() >= 4);
+        assert!(dfg.degrees().1.into_iter().max().unwrap() >= 4);
     }
 
     use crate::affine::AffineExpr;

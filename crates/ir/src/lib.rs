@@ -54,7 +54,7 @@ pub mod program;
 pub use access::{ArrayAccess, ArrayDecl};
 pub use affine::AffineExpr;
 pub use deps::{access_distance, DepKind, Dependence, DependenceSet, Distance};
-pub use dfg::{Dfg, DfgEdge, DfgNode};
+pub use dfg::{Dfg, DfgEdge, DfgNode, Schedule};
 pub use error::IrError;
 pub use expr::{Expr, LValue, Stmt};
 pub use id::{ArrayId, LoopId, NodeId, ScalarId, StmtId};

@@ -76,13 +76,14 @@ impl<'a> Scheduler<'a> {
             in_edges[e.dst.index()].push((e.src.index(), e.dist, routed));
             out_edges[e.src.index()].push((e.dst.index(), e.dist, routed));
         }
+        let schedule = dfg.schedule();
         Ok(Scheduler {
             dfg,
             arch,
             config,
             mii: mii::res_mii(dfg, arch).max(rec),
-            asap: dfg.asap(),
-            alap: dfg.alap(),
+            asap: schedule.asap,
+            alap: schedule.alap,
             in_edges,
             out_edges,
         })

@@ -27,6 +27,7 @@
 //! for a trained checkpoint saved by the bench harness.
 
 use crate::hash::sha256_hex;
+use crate::lock_unpoisoned;
 use ptmap_arch::{presets, CgraArch};
 use ptmap_core::{PtMap, PtMapConfig};
 use ptmap_eval::{AnalyticalPredictor, GnnPredictor, IiPredictor, OraclePredictor, RankMode};
@@ -35,6 +36,9 @@ use ptmap_governor::faultpoint;
 use ptmap_ir::Program;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::path::PathBuf;
+use std::sync::Mutex;
+use std::time::SystemTime;
 
 /// One job line of a manifest (unresolved references).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,11 +98,7 @@ impl PredictorSpec {
                 Some(path) => {
                     faultpoint::fail_point(faultpoint::sites::PREDICTOR_LOAD)
                         .map_err(|e| format!("reading model {path}: {e}"))?;
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("reading model {path}: {e}"))?;
-                    let model: PtMapGnn =
-                        serde_json::from_str(&text).map_err(|e| format!("model {path}: {e}"))?;
-                    Ok(PredictorSpec::Gnn(Box::new(model)))
+                    Ok(PredictorSpec::Gnn(Box::new(load_checkpoint(path)?)))
                 }
                 None => Err(format!(
                     "unknown predictor {other} (expected analytical, oracle, or gnn:<model.json>)"
@@ -140,14 +140,65 @@ impl PredictorSpec {
             PredictorSpec::Analytical => Value::Str("analytical".to_string()),
             PredictorSpec::Oracle => Value::Str("oracle".to_string()),
             PredictorSpec::Gnn(model) => {
-                let canon = serde_json::to_value(model.as_ref())
-                    .expect("model serializes")
-                    .canonicalize();
-                let text = serde_json::to_string(&canon).expect("canonical value serializes");
-                Value::Str(format!("gnn:{}", sha256_hex(&text)))
+                Value::Str(format!("gnn:{}", model.digest(checkpoint_digest)))
             }
         }
     }
+}
+
+/// SHA-256 of a model's canonical JSON, memoized on the model by
+/// [`PredictorSpec::key_value`].
+fn checkpoint_digest(model: &PtMapGnn) -> String {
+    let canon = serde_json::to_value(model)
+        .expect("model serializes")
+        .canonicalize();
+    sha256_hex(&serde_json::to_string(&canon).expect("canonical value serializes"))
+}
+
+/// Checkpoints [`load_checkpoint`] keeps parsed, at most.
+const CHECKPOINT_CACHE: usize = 4;
+
+/// A parsed checkpoint and the file identity it was read from.
+struct Loaded {
+    path: PathBuf,
+    modified: SystemTime,
+    len: u64,
+    model: PtMapGnn,
+}
+
+/// Reads and parses a GNN checkpoint, once per file version: the last
+/// few checkpoints stay parsed, keyed by canonical path, modification
+/// time and length, so a daemon answering `gnn:` requests neither
+/// re-parses nor re-hashes the file (the returned clone shares the
+/// memoized digest). Rewriting the file changes its key and reloads it.
+fn load_checkpoint(path: &str) -> Result<PtMapGnn, String> {
+    static LOADED: Mutex<Vec<Loaded>> = Mutex::new(Vec::new());
+    let read_err = |e: std::io::Error| format!("reading model {path}: {e}");
+    let canonical = std::fs::canonicalize(path).map_err(read_err)?;
+    let meta = std::fs::metadata(&canonical).map_err(read_err)?;
+    let modified = meta.modified().map_err(read_err)?;
+    let len = meta.len();
+    let is_current = |l: &Loaded| l.path == canonical && l.modified == modified && l.len == len;
+    {
+        let loaded = lock_unpoisoned(&LOADED);
+        if let Some(l) = loaded.iter().find(|l| is_current(l)) {
+            return Ok(l.model.clone());
+        }
+    }
+    let text = std::fs::read_to_string(&canonical).map_err(read_err)?;
+    let model: PtMapGnn = serde_json::from_str(&text).map_err(|e| format!("model {path}: {e}"))?;
+    let mut loaded = lock_unpoisoned(&LOADED);
+    loaded.retain(|l| l.path != canonical);
+    if loaded.len() == CHECKPOINT_CACHE {
+        loaded.remove(0);
+    }
+    loaded.push(Loaded {
+        path: canonical,
+        modified,
+        len,
+        model: model.clone(),
+    });
+    Ok(model)
 }
 
 /// A fully resolved job, ready to schedule.
@@ -300,6 +351,51 @@ mod tests {
         assert!(resolve_kernel("ATA").is_ok());
         assert!(resolve_kernel("app:ata").is_ok());
         assert!(resolve_kernel("nope").is_err());
+    }
+
+    fn key(spec: &PredictorSpec) -> String {
+        serde_json::to_string(&spec.key_value()).unwrap()
+    }
+
+    fn small_model(seed: u64) -> PtMapGnn {
+        PtMapGnn::new(ptmap_gnn::ModelConfig {
+            hidden: 4,
+            seed,
+            ..ptmap_gnn::ModelConfig::default()
+        })
+    }
+
+    #[test]
+    fn checkpoints_load_once_and_reload_when_rewritten() {
+        let path = std::env::temp_dir().join(format!("ptmap-ckpt-{}.json", std::process::id()));
+        let reference = format!("gnn:{}", path.display());
+        let first = small_model(1);
+        std::fs::write(&path, first.to_bytes()).unwrap();
+        let a = PredictorSpec::parse(&reference).unwrap();
+        let b = PredictorSpec::parse(&reference).unwrap();
+        assert_eq!(key(&a), key(&b));
+        // Rewrite with other weights and a later modification time.
+        let second = small_model(2);
+        std::fs::write(&path, second.to_bytes()).unwrap();
+        let later = std::fs::metadata(&path).unwrap().modified().unwrap()
+            + std::time::Duration::from_secs(1);
+        std::fs::File::options()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(later)
+            .unwrap();
+        let c = PredictorSpec::parse(&reference).unwrap();
+        assert_ne!(key(&a), key(&c));
+        assert_eq!(key(&c), key(&PredictorSpec::Gnn(Box::new(second))));
+        // The fault point fires on every parse, cached or not.
+        {
+            let _faults = faultpoint::install("predictor_load:error").unwrap();
+            assert!(PredictorSpec::parse(&reference).is_err());
+        }
+        assert!(PredictorSpec::parse(&reference).is_ok());
+        std::fs::remove_file(&path).unwrap();
+        assert!(PredictorSpec::parse(&reference).is_err());
     }
 
     #[test]

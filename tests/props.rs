@@ -81,6 +81,28 @@ proptest! {
         prop_assert!(unrolled.len() >= base.len());
     }
 
+    /// The linear-time schedule helpers agree with the edge-scanning
+    /// definitions they replaced, topological order included.
+    #[test]
+    fn dfg_schedule_matches_edge_scans(seed in 0u64..300, factor in 1u32..6) {
+        let mut g = RandomProgramGenerator::new(RandomProgramConfig::default(), seed);
+        let p = g.next_program();
+        let nest = p.perfect_nests().remove(0);
+        let dfg = build_dfg(&p, &nest, &[(nest.pipelined_loop(), factor)]).unwrap();
+        let order = scan::topo_order_dist0(&dfg);
+        prop_assert_eq!(dfg.topo_order_dist0(), order);
+        let asap = scan::asap(&dfg);
+        let alap = scan::alap(&dfg);
+        let critical_path = scan::critical_path(&dfg);
+        prop_assert_eq!(&dfg.asap(), &asap);
+        prop_assert_eq!(&dfg.alap(), &alap);
+        prop_assert_eq!(dfg.critical_path(), critical_path);
+        let s = dfg.schedule();
+        prop_assert_eq!(s.asap, asap);
+        prop_assert_eq!(s.alap, alap);
+        prop_assert_eq!(s.critical_path, critical_path);
+    }
+
     /// Every successful mapping of a random program verifies: slots are
     /// exclusive and all edge timings hold.
     #[test]
@@ -131,5 +153,90 @@ proptest! {
         let (q, _) = pt_map::transform::primitives::strip_mine(&p, i, tile).unwrap();
         let nest = q.perfect_nests().remove(0);
         prop_assert_eq!(nest.total_iterations(), n.div_ceil(tile) * tile);
+    }
+}
+
+/// The DFG schedule helpers as they were defined before they became
+/// linear: every node scans the whole edge list.
+mod scan {
+    use pt_map::ir::Dfg;
+
+    pub fn asap(dfg: &Dfg) -> Vec<u32> {
+        let order = topo_order_dist0(dfg).expect("dist-0 subgraph must be acyclic");
+        let mut asap = vec![0u32; dfg.len()];
+        for &n in &order {
+            for e in dfg
+                .edges()
+                .iter()
+                .filter(|e| e.dist == 0 && e.dst.index() == n)
+            {
+                let src = e.src.index();
+                let cand = asap[src] + dfg.nodes()[src].latency();
+                asap[n] = asap[n].max(cand);
+            }
+        }
+        asap
+    }
+
+    pub fn alap(dfg: &Dfg) -> Vec<u32> {
+        let asap = asap(dfg);
+        let horizon = dfg
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, n)| asap[i] + n.latency())
+            .max()
+            .unwrap_or(0);
+        let order = topo_order_dist0(dfg).expect("dist-0 subgraph must be acyclic");
+        let mut alap: Vec<u32> = dfg
+            .nodes()
+            .iter()
+            .map(|n| horizon.saturating_sub(n.latency()))
+            .collect();
+        for &n in order.iter().rev() {
+            for e in dfg
+                .edges()
+                .iter()
+                .filter(|e| e.dist == 0 && e.src.index() == n)
+            {
+                let cand = alap[e.dst.index()].saturating_sub(dfg.nodes()[n].latency());
+                alap[n] = alap[n].min(cand);
+            }
+        }
+        alap
+    }
+
+    pub fn critical_path(dfg: &Dfg) -> u32 {
+        let asap = asap(dfg);
+        dfg.nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, n)| asap[i] + n.latency())
+            .max()
+            .unwrap_or(0)
+    }
+
+    pub fn topo_order_dist0(dfg: &Dfg) -> Option<Vec<usize>> {
+        let n = dfg.len();
+        let mut indeg = vec![0usize; n];
+        for e in dfg.edges().iter().filter(|e| e.dist == 0) {
+            indeg[e.dst.index()] += 1;
+        }
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(v) = queue.pop() {
+            order.push(v);
+            for e in dfg
+                .edges()
+                .iter()
+                .filter(|e| e.dist == 0 && e.src.index() == v)
+            {
+                indeg[e.dst.index()] -= 1;
+                if indeg[e.dst.index()] == 0 {
+                    queue.push(e.dst.index());
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
     }
 }
