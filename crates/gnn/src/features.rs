@@ -9,7 +9,7 @@
 
 use crate::tensor::Matrix;
 use ptmap_arch::CgraArch;
-use ptmap_ir::{Dfg, OpKind};
+use ptmap_ir::{Dfg, DfgEdge, OpKind};
 
 /// Software node feature width: op one-hot + [fan-in, fan-out, asap,
 /// alap, latency].
@@ -150,7 +150,8 @@ pub fn build_input(dfg: &Dfg, arch: &CgraArch) -> GnnInput {
 }
 
 /// Builds the per-candidate input: the `G_sw` and `Vec` parts of
-/// [`build_input`], with the mask as neighbour lists.
+/// [`build_input`], with the mask as neighbour lists. Of the DFG it
+/// reads only what its [`SwKey`] holds.
 pub fn build_sw_input(dfg: &Dfg, arch: &CgraArch) -> SwInput {
     let mii = ptmap_mapper::mii(dfg, arch);
     let (sw_x, vec) = sw_features(dfg, mii);
@@ -159,6 +160,33 @@ pub fn build_sw_input(dfg: &Dfg, arch: &CgraArch) -> SwInput {
         neighbours: Neighbourhoods::of_dfg(dfg),
         vec,
         mii,
+    }
+}
+
+/// Everything of a DFG that [`build_sw_input`] reads: the node
+/// operations in order and the edge list `(src, dst, dist, kind)` in
+/// order. The MII prior, the schedule, the degrees and the attention
+/// neighbourhoods are all functions of these two lists; a node's
+/// `access`, `imm` and `scalar` are never read. So two DFGs with equal
+/// keys get equal inputs on any one architecture, and a memo of
+/// predictions per architecture can be keyed by it. Keys compare by
+/// full equality, never by a digest alone.
+///
+/// Keep this in step with [`build_sw_input`]: a feature that starts
+/// reading another part of the DFG must add that part here.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SwKey {
+    ops: Vec<OpKind>,
+    edges: Vec<DfgEdge>,
+}
+
+impl SwKey {
+    /// The key of a DFG.
+    pub fn of(dfg: &Dfg) -> Self {
+        SwKey {
+            ops: dfg.nodes().iter().map(|n| n.op).collect(),
+            edges: dfg.edges().to_vec(),
+        }
     }
 }
 

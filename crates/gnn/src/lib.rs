@@ -47,7 +47,7 @@ pub mod tensor;
 pub mod train;
 
 pub use dataset::{DatasetConfig, Sample};
-pub use features::{build_input, build_sw_input, GnnInput, SwInput};
+pub use features::{build_input, build_sw_input, GnnInput, SwInput, SwKey};
 pub use model::{GnnVariant, Heads, HwEmbedding, ModelConfig, Prediction, PtMapGnn};
 pub use tensor::Matrix;
 pub use train::{

@@ -69,7 +69,7 @@ pub enum EdgeKind {
 }
 
 /// A directed edge of the dataflow graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DfgEdge {
     /// Producer node.
     pub src: NodeId,
@@ -565,21 +565,16 @@ impl DfgBuilder {
     }
 
     /// Adds memory-carried edges between stores and loads of the same
-    /// element across iterations of the pipelined loop `p`.
+    /// element across iterations of the pipelined loop `p`, in
+    /// (store, load) order.
     fn add_memory_edges(&mut self, p: LoopId) {
-        let stores = self.stores.clone();
-        let loads = self.loads.clone();
-        for &st in &stores {
-            let sa = self.dfg.nodes[st.index()]
-                .access
-                .clone()
-                .expect("store has access");
-            for &ld in &loads {
-                let la = self.dfg.nodes[ld.index()]
-                    .access
-                    .clone()
-                    .expect("load has access");
-                if la.array != sa.array || !la.is_uniform_with(&sa) {
+        let mut edges = Vec::new();
+        let nodes = &self.dfg.nodes;
+        for &st in &self.stores {
+            let sa = nodes[st.index()].access.as_ref().expect("store has access");
+            for &ld in &self.loads {
+                let la = nodes[ld.index()].access.as_ref().expect("load has access");
+                if la.array != sa.array || !la.is_uniform_with(sa) {
                     continue;
                 }
                 // Solve e_store(t) == e_load(t + d) per dimension.
@@ -587,8 +582,9 @@ impl DfgBuilder {
                 let mut same_everywhere = true;
                 let mut feasible = true;
                 for (es, el) in sa.indices.iter().zip(&la.indices) {
-                    let diff = es.clone() - el.clone(); // constant by uniformity
-                    let k = diff.constant_term();
+                    // Uniform accesses share every coefficient, so the
+                    // subscripts differ only in their constants.
+                    let k = es.constant_term() - el.constant_term();
                     let c = el.coeff(p);
                     if c == 0 {
                         if k != 0 {
@@ -629,25 +625,27 @@ impl DfgBuilder {
                 };
                 match dist.cmp(&0) {
                     std::cmp::Ordering::Greater => {
-                        self.dfg.add_edge_kind(st, ld, dist as u32, EdgeKind::Order);
+                        edges.push((st, ld, dist as u32));
                     }
                     std::cmp::Ordering::Equal => {
                         // Same iteration: order by emission (store first ->
                         // forwardable flow; load first -> anti ordering).
                         if st.index() < ld.index() {
-                            self.dfg.add_edge_kind(st, ld, 0, EdgeKind::Order);
+                            edges.push((st, ld, 0));
                         } else {
-                            self.dfg.add_edge_kind(ld, st, 0, EdgeKind::Order);
+                            edges.push((ld, st, 0));
                         }
                     }
                     std::cmp::Ordering::Less => {
                         // Load of a *later* element than the store writes:
                         // anti dependence across iterations.
-                        self.dfg
-                            .add_edge_kind(ld, st, (-dist) as u32, EdgeKind::Order);
+                        edges.push((ld, st, (-dist) as u32));
                     }
                 }
             }
+        }
+        for (src, dst, dist) in edges {
+            self.dfg.add_edge_kind(src, dst, dist, EdgeKind::Order);
         }
     }
 }

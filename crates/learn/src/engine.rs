@@ -579,7 +579,7 @@ mod tests {
         let engine = LearnEngine::new(tiny_config(Some(dir.clone()))).unwrap();
         assert_eq!(engine.version(), 1);
         assert!(dir.join("model-v1.bin").exists());
-        assert_eq!(engine.store().manifest().map(|m| m.latest), Some(1));
+        assert_eq!(engine.store().load_latest().map(|(v, _)| v), Some(1));
         // A second boot restores, not reseeds.
         let again = LearnEngine::new(tiny_config(Some(dir.clone()))).unwrap();
         assert_eq!(again.version(), 1);
@@ -615,7 +615,7 @@ mod tests {
 
         // The promoted version is snapshotted and reloads on restart.
         assert!(dir.join("model-v2.bin").exists());
-        assert_eq!(engine.store().manifest().map(|m| m.latest), Some(2));
+        assert_eq!(engine.store().load_latest().map(|(v, _)| v), Some(2));
         let reborn = LearnEngine::new(tiny_config(Some(dir.clone()))).unwrap();
         assert_eq!(reborn.version(), 2);
         assert_eq!(

@@ -9,9 +9,9 @@
 //!   through the observe-only `ptmap_eval::SampleTap` hook, buffered in
 //!   a bounded drop-oldest queue and spilled to an append-only,
 //!   checksummed JSONL log;
-//! * [`store`] — versioned model snapshots (`model-v<N>.bin` plus a
-//!   `manifest.json`) with checksum framing, corrupt-snapshot
-//!   quarantine, and highest-valid-version restart recovery;
+//! * [`store`] — versioned model snapshots (`model-v<N>.bin`) with
+//!   checksum framing, corrupt-snapshot quarantine, and
+//!   highest-valid-version restart recovery;
 //! * [`shadow`] — per-model cycle-MAPE accumulators and error-ratio
 //!   histograms used to judge a freshly trained candidate against the
 //!   serving model on the same live window;

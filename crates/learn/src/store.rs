@@ -3,27 +3,18 @@
 //! Each promoted model persists as `model-v<N>.bin` — a checksum frame
 //! (`<sha256-hex>\n<json>`, `ptmap_pipeline::hash`'s format, shared
 //! with the report cache) around the model's deterministic byte
-//! encoding — plus a `manifest.json` naming the latest version. On
-//! restart the store loads the highest version that checks out; a
-//! corrupt or injected-fault snapshot is quarantined (renamed
-//! `<name>.corrupt`), counted, and skipped, so one bad file never takes
-//! the learner down — it restores from the next-best version or
-//! reseeds.
+//! encoding. On restart the store scans the directory and loads the
+//! highest version that checks out; a corrupt or injected-fault
+//! snapshot is quarantined (renamed `<name>.corrupt`), counted, and
+//! skipped, so one bad file never takes the learner down — it restores
+//! from the next-best version or reseeds.
 
 use ptmap_gnn::PtMapGnn;
 use ptmap_governor::faultpoint::{self, sites};
 use ptmap_pipeline::hash::{self, verify_frame, write_framed};
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// `manifest.json`: the store's pointer to the latest snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoreManifest {
-    /// The most recently persisted version.
-    pub latest: u64,
-}
 
 /// A directory of versioned model snapshots (or a no-op when no
 /// directory is configured).
@@ -62,25 +53,12 @@ impl ModelStore {
     }
 
     /// Persists a model as `model-v<version>.bin` (write-temp-rename,
-    /// so readers never observe a torn file) and updates
-    /// `manifest.json`. A no-op without a directory.
+    /// so readers never observe a torn file). A no-op without a
+    /// directory.
     pub fn persist(&self, version: u64, model: &PtMapGnn) -> io::Result<()> {
         let Some(dir) = &self.dir else { return Ok(()) };
         let json = String::from_utf8(model.to_bytes()).expect("model encodes as UTF-8");
-        write_framed(&dir.join(snapshot_name(version)), &json)?;
-        let manifest =
-            serde_json::to_string(&StoreManifest { latest: version }).expect("manifest encodes");
-        let mtmp = dir.join(".manifest.json.tmp");
-        std::fs::write(&mtmp, manifest)?;
-        std::fs::rename(&mtmp, dir.join("manifest.json"))?;
-        Ok(())
-    }
-
-    /// Reads `manifest.json`, if present and parsable.
-    pub fn manifest(&self) -> Option<StoreManifest> {
-        let dir = self.dir.as_ref()?;
-        let text = std::fs::read_to_string(dir.join("manifest.json")).ok()?;
-        serde_json::from_str(&text).ok()
+        write_framed(&dir.join(snapshot_name(version)), &json)
     }
 
     /// Loads the highest-versioned snapshot that validates. Corrupt
@@ -174,7 +152,6 @@ mod tests {
         let store = ModelStore::new(Some(dir.clone())).unwrap();
         store.persist(1, &tiny_model(1)).unwrap();
         store.persist(2, &tiny_model(2)).unwrap();
-        assert_eq!(store.manifest(), Some(StoreManifest { latest: 2 }));
         let (v, model) = store.load_latest().unwrap();
         assert_eq!(v, 2);
         assert_eq!(model.to_bytes(), tiny_model(2).to_bytes());
@@ -187,7 +164,6 @@ mod tests {
         let store = ModelStore::new(None).unwrap();
         store.persist(1, &tiny_model(1)).unwrap();
         assert_eq!(store.load_latest().map(|(v, _)| v), None);
-        assert_eq!(store.manifest(), None);
         assert_eq!(store.snapshot_path(1), None);
     }
 

@@ -98,7 +98,21 @@ fn warm_cache_reproduces_cold_run() {
 
 #[test]
 fn sharded_evaluation_does_not_change_batch_output() {
-    let jobs = demo_manifest();
+    // The GNN job's eval threads share one prediction memo.
+    let mut jobs = demo_manifest();
+    jobs.extend(
+        Manifest::from_json(
+            r#"{"jobs": [{ "kernel": "gemm:8", "arch": "S4",
+                "predictor": "gnn:results/gnn_full_3000_120.json" }]}"#,
+        )
+        .unwrap()
+        .resolve()
+        .unwrap(),
+    );
+    assert!(matches!(
+        jobs.last().unwrap().predictor,
+        PredictorSpec::Gnn(_)
+    ));
     let narrow = BatchConfig::default();
     let sharded = BatchConfig {
         base: PtMapConfig {

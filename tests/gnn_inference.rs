@@ -4,16 +4,22 @@
 //! every variant, the raw heads of `PtMapGnn::forward` equal those of
 //! `PtMapGnn::heads` by `f32::to_bits`, and every predict entry point
 //! returns the same prediction.
+//!
+//! `GnnPredictor` memoizes its answer per DFG shape (`SwKey`): a memoized
+//! answer must equal a fresh forward pass, on a miss, on a hit and when
+//! threads share the memo, and the key must hold exactly what
+//! `build_sw_input` reads.
 
 use pt_map::arch::CgraArch;
+use pt_map::core::PtMapConfig;
 use pt_map::eval::{GnnPredictor, IiPredictor};
 use pt_map::gnn::autograd::Graph;
 use pt_map::gnn::{
-    build_input, build_sw_input, GnnInput, GnnVariant, Heads, ModelConfig, PtMapGnn,
+    build_input, build_sw_input, GnnInput, GnnVariant, Heads, ModelConfig, PtMapGnn, SwKey,
 };
-use pt_map::ir::dfg::{build_dfg, EdgeKind};
-use pt_map::ir::{Dfg, OpKind};
-use pt_map::workloads::{RandomProgramConfig, RandomProgramGenerator};
+use pt_map::ir::dfg::{build_dfg, DfgEdge, EdgeKind};
+use pt_map::ir::{AffineExpr, ArrayAccess, ArrayId, Dfg, DfgNode, OpKind, ScalarId};
+use pt_map::workloads::{apps, RandomProgramConfig, RandomProgramGenerator};
 use serde_json::Value;
 use std::path::Path;
 
@@ -38,6 +44,16 @@ fn archs() -> Vec<CgraArch> {
         .collect()
 }
 
+/// The DFG with exactly these nodes and edges, duplicate edges kept
+/// (`Dfg::add_edge` would drop them).
+fn dfg_of(nodes: &[DfgNode], edges: &[DfgEdge]) -> Dfg {
+    let v = Value::Object(vec![
+        ("nodes".to_string(), serde_json::to_value(nodes).unwrap()),
+        ("edges".to_string(), serde_json::to_value(edges).unwrap()),
+    ]);
+    serde_json::from_value(&v).expect("dfg decodes")
+}
+
 /// A DFG with parallel edges (same endpoints, different distance or
 /// kind), an exact duplicate edge, a two-way recurrence and an isolated
 /// node.
@@ -52,20 +68,9 @@ fn awkward_dfg() -> Dfg {
     d.add_edge(b, a, 1);
     d.add_edge(b, c, 0);
     d.add_edge(c, b, 2);
-    // `add_edge` deduplicates exact repeats; a decoded DFG need not.
-    let mut v = serde_json::to_value(&d).expect("dfg serializes");
-    let Value::Object(fields) = &mut v else {
-        panic!("dfg is an object")
-    };
-    let (_, Value::Array(edges)) = fields
-        .iter_mut()
-        .find(|(k, _)| k == "edges")
-        .expect("edges field")
-    else {
-        panic!("edges is an array")
-    };
-    edges.push(edges[0].clone());
-    let d: Dfg = serde_json::from_value(&v).expect("dfg decodes");
+    let mut edges = d.edges().to_vec();
+    edges.push(edges[0]);
+    let d = dfg_of(d.nodes(), &edges);
     assert_eq!(d.edges()[0], d.edges()[d.edges().len() - 1]);
     d
 }
@@ -83,9 +88,34 @@ fn dfgs() -> Vec<Dfg> {
     out
 }
 
-fn models() -> Vec<PtMapGnn> {
+/// The DFG of every candidate the default exploration yields for two
+/// fig9 apps, in exploration order, repeated shapes included.
+fn explored_dfgs() -> Vec<Dfg> {
+    let config = PtMapConfig::default().explore;
+    let mut out = Vec::new();
+    for program in [apps::atax(), apps::trisolv()] {
+        let forest = pt_map::transform::explore(&program, &config);
+        for c in forest
+            .variants
+            .iter()
+            .flat_map(|v| v.pnl_candidates.iter().flatten())
+        {
+            match build_dfg(&c.program, &c.nest, &c.unroll) {
+                Ok(dfg) if !dfg.is_empty() => out.push(dfg),
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+fn checkpoint() -> PtMapGnn {
     let text = std::fs::read_to_string(repo_path(CHECKPOINT)).expect("checkpoint is committed");
-    let mut out = vec![serde_json::from_str(&text).expect("checkpoint parses")];
+    serde_json::from_str(&text).expect("checkpoint parses")
+}
+
+fn models() -> Vec<PtMapGnn> {
+    let mut out = vec![checkpoint()];
     for (seed, variant) in [
         GnnVariant::Full,
         GnnVariant::Basic,
@@ -174,5 +204,120 @@ fn attention_mask_is_edges_both_ways_plus_self_loops() {
             let masked: Vec<usize> = (0..n).filter(|&j| want.get(i, j) > 0.0).collect();
             assert_eq!(sw.neighbours.row(i), masked.as_slice());
         }
+    }
+}
+
+#[test]
+fn memoized_predictions_equal_a_fresh_forward() {
+    let model = checkpoint();
+    let mut dfgs = dfgs();
+    dfgs.extend(explored_dfgs());
+    let shapes: std::collections::HashSet<SwKey> = dfgs.iter().map(SwKey::of).collect();
+    assert!(
+        shapes.len() < dfgs.len(),
+        "the explored candidates repeat shapes, so the memo is exercised"
+    );
+    // One predictor (and one shared by threads) across every
+    // architecture, so an answer must never leak between them.
+    let predictor = GnnPredictor::new(model.clone());
+    let shared = GnnPredictor::new(model.clone());
+    for arch in &archs() {
+        let hw = model.embed_arch(arch);
+        let want: Vec<(u32, u32)> = dfgs
+            .iter()
+            .map(|dfg| {
+                let p = model.predict_sw(&build_sw_input(dfg, arch), &hw);
+                (p.ii.max(1), p.pro_epi)
+            })
+            .collect();
+        for pass in ["first", "repeat"] {
+            for (k, dfg) in dfgs.iter().enumerate() {
+                assert_eq!(
+                    predictor.predict(dfg, arch),
+                    want[k],
+                    "{pass} call, {} dfg #{k}",
+                    arch.name()
+                );
+            }
+        }
+        // Four threads share one memo, as eval shards do.
+        let got: Vec<Vec<(usize, (u32, u32))>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (shared, dfgs) = (&shared, &dfgs);
+                    scope.spawn(move || {
+                        (t..dfgs.len())
+                            .step_by(4)
+                            .map(|k| (k, shared.predict(&dfgs[k], arch)))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (k, answer) in got.into_iter().flatten() {
+            assert_eq!(answer, want[k], "sharded, {} dfg #{k}", arch.name());
+        }
+    }
+}
+
+#[test]
+fn access_imm_and_scalar_stay_out_of_the_key() {
+    let model = checkpoint();
+    let archs = archs();
+    let other = ArrayAccess::new(ArrayId(7), vec![AffineExpr::constant(5)]);
+    for dfg in dfgs() {
+        let mut nodes = dfg.nodes().to_vec();
+        for n in &mut nodes {
+            n.access = match n.access {
+                Some(_) => None,
+                None => Some(other.clone()),
+            };
+            n.imm = Some(n.imm.map_or(41, |v| v + 1));
+            n.scalar = Some(ScalarId(3));
+        }
+        let moved = dfg_of(&nodes, dfg.edges());
+        assert_ne!(moved, dfg);
+        assert_eq!(SwKey::of(&moved), SwKey::of(&dfg));
+        for arch in &archs {
+            let hw = model.embed_arch(arch);
+            let heads = |d: &Dfg| bits(&model.heads(&build_sw_input(d, arch), &hw));
+            assert_eq!(heads(&moved), heads(&dfg), "on {}", arch.name());
+        }
+    }
+}
+
+#[test]
+fn ops_and_edges_enter_the_key() {
+    for dfg in dfgs() {
+        let key = SwKey::of(&dfg);
+        assert_eq!(dfg_of(dfg.nodes(), dfg.edges()), dfg);
+        let mut nodes = dfg.nodes().to_vec();
+        nodes[0].op = match nodes[0].op {
+            OpKind::Add => OpKind::Sub,
+            _ => OpKind::Add,
+        };
+        assert_ne!(SwKey::of(&dfg_of(&nodes, dfg.edges())), key, "changed op");
+        if dfg.edges().is_empty() {
+            continue;
+        }
+        let n = dfg.len() as u32;
+        let changed_edge = |change: &dyn Fn(&mut DfgEdge)| {
+            let mut edges = dfg.edges().to_vec();
+            change(edges.last_mut().unwrap());
+            SwKey::of(&dfg_of(dfg.nodes(), &edges))
+        };
+        if n > 1 {
+            let endpoint = changed_edge(&|e| e.dst.0 = (e.dst.0 + 1) % n);
+            assert_ne!(endpoint, key, "changed endpoint");
+        }
+        assert_ne!(changed_edge(&|e| e.dist += 1), key, "changed dist");
+        let kind = changed_edge(&|e| {
+            e.kind = match e.kind {
+                EdgeKind::Data => EdgeKind::Order,
+                EdgeKind::Order => EdgeKind::Data,
+            }
+        });
+        assert_ne!(kind, key, "changed kind");
     }
 }

@@ -103,6 +103,21 @@ proptest! {
         prop_assert_eq!(s.critical_path, critical_path);
     }
 
+    /// `build_dfg` adds the same memory edges, in the same order, as the
+    /// clone-per-pair definition it replaced, under any unroll vector.
+    #[test]
+    fn build_dfg_memory_edges_match_the_cloning_definition(
+        seed in 0u64..300,
+        factors in proptest::collection::vec(1u32..4, 3..4),
+    ) {
+        let mut g = RandomProgramGenerator::new(RandomProgramConfig::default(), seed);
+        let p = g.next_program();
+        let nest = p.perfect_nests().remove(0);
+        let unroll: Vec<_> = nest.loops.iter().copied().zip(factors).collect();
+        let dfg = build_dfg(&p, &nest, &unroll).unwrap();
+        prop_assert_eq!(&dfg, &cloning::with_memory_edges(&dfg, nest.pipelined_loop()));
+    }
+
     /// Every successful mapping of a random program verifies: slots are
     /// exclusive and all edge timings hold.
     #[test]
@@ -238,5 +253,114 @@ mod scan {
             }
         }
         (order.len() == n).then_some(order)
+    }
+}
+
+/// `build_dfg`'s memory edges as they were added before they stopped
+/// cloning: both access lists and both accesses cloned per (store, load)
+/// pair, and each subscript distance read off a full subtraction.
+mod cloning {
+    use pt_map::ir::dfg::EdgeKind;
+    use pt_map::ir::{Dfg, LoopId, NodeId, OpKind};
+
+    /// `dfg` without its memory (order) edges, which `build_dfg` adds
+    /// last, with them added back by the old definition.
+    pub fn with_memory_edges(dfg: &Dfg, p: LoopId) -> Dfg {
+        let mut out = Dfg::new();
+        for n in dfg.nodes() {
+            let id = out.add_node(n.op, n.access.clone(), n.imm);
+            if let Some(s) = n.scalar {
+                out.bind_scalar(id, s);
+            }
+        }
+        for e in dfg.edges().iter().filter(|e| e.kind == EdgeKind::Data) {
+            out.add_edge_kind(e.src, e.dst, e.dist, e.kind);
+        }
+        let of = |op: OpKind| -> Vec<NodeId> {
+            out.nodes()
+                .iter()
+                .filter(|n| n.op == op)
+                .map(|n| n.id)
+                .collect()
+        };
+        let (stores, loads) = (of(OpKind::Store), of(OpKind::Load));
+        add_memory_edges(&mut out, &stores, &loads, p);
+        out
+    }
+
+    fn add_memory_edges(dfg: &mut Dfg, stores: &[NodeId], loads: &[NodeId], p: LoopId) {
+        let stores = stores.to_vec();
+        let loads = loads.to_vec();
+        for &st in &stores {
+            let sa = dfg.nodes()[st.index()]
+                .access
+                .clone()
+                .expect("store has access");
+            for &ld in &loads {
+                let la = dfg.nodes()[ld.index()]
+                    .access
+                    .clone()
+                    .expect("load has access");
+                if la.array != sa.array || !la.is_uniform_with(&sa) {
+                    continue;
+                }
+                let mut d: Option<i64> = None;
+                let mut same_everywhere = true;
+                let mut feasible = true;
+                for (es, el) in sa.indices.iter().zip(&la.indices) {
+                    let diff = es.clone() - el.clone();
+                    let k = diff.constant_term();
+                    let c = el.coeff(p);
+                    if c == 0 {
+                        if k != 0 {
+                            feasible = false;
+                            break;
+                        }
+                    } else {
+                        same_everywhere = false;
+                        if k % c != 0 {
+                            feasible = false;
+                            break;
+                        }
+                        let this_d = k / c;
+                        match d {
+                            None => d = Some(this_d),
+                            Some(prev) if prev != this_d => {
+                                feasible = false;
+                                break;
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                if !feasible {
+                    continue;
+                }
+                let dist = if same_everywhere {
+                    if st.index() < ld.index() {
+                        0
+                    } else {
+                        1
+                    }
+                } else {
+                    d.unwrap_or(0)
+                };
+                match dist.cmp(&0) {
+                    std::cmp::Ordering::Greater => {
+                        dfg.add_edge_kind(st, ld, dist as u32, EdgeKind::Order);
+                    }
+                    std::cmp::Ordering::Equal => {
+                        if st.index() < ld.index() {
+                            dfg.add_edge_kind(st, ld, 0, EdgeKind::Order);
+                        } else {
+                            dfg.add_edge_kind(ld, st, 0, EdgeKind::Order);
+                        }
+                    }
+                    std::cmp::Ordering::Less => {
+                        dfg.add_edge_kind(ld, st, (-dist) as u32, EdgeKind::Order);
+                    }
+                }
+            }
+        }
     }
 }
