@@ -14,7 +14,7 @@
 //!                [--shadow-window N] [--promote-margin F]]
 //! ptmap gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]
 //!               [--probe-interval-ms MS] [--failure-threshold N]
-//!               [--cooldown-ms MS] [--max-retries N] [--cache-dir DIR]
+//!               [--cooldown-ms MS] [--max-retries N]
 //!   SERVICE FLAGS: [--addr HOST:PORT] [--deadline SECS]
 //!               [--drain-timeout SECS] [--validate]
 //!               [--default-backend {heuristic|exact|portfolio}]
@@ -108,7 +108,7 @@ fn usage_text() -> &'static str {
      \x20          [--shadow-window N] [--promote-margin F]]\n\
      \x20 gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]\n\
      \x20         [--probe-interval-ms MS] [--failure-threshold N]\n\
-     \x20         [--cooldown-ms MS] [--max-retries N] [--cache-dir DIR]\n\
+     \x20         [--cooldown-ms MS] [--max-retries N]\n\
      \x20   SERVICE FLAGS: [--addr HOST:PORT] [--deadline SECS]\n\
      \x20         [--drain-timeout SECS] [--validate]\n\
      \x20         [--default-backend {heuristic|exact|portfolio}]\n\
@@ -439,7 +439,6 @@ fn service(args: &[String], gateway: bool) -> ExitCode {
                 "--failure-threshold",
                 "--cooldown-ms",
                 "--max-retries",
-                "--cache-dir",
             ],
             &["--validate"],
         )
@@ -664,7 +663,6 @@ fn gateway_config(flags: &Flags) -> Result<ptmap_serve::GatewayConfig, String> {
             .map(std::time::Duration::from_millis)
             .unwrap_or(defaults.cooldown),
         max_retries: parse_retries(flags, defaults.max_retries)?,
-        cache_dir: flags.get("--cache-dir").map(Into::into),
         base: shared.base,
         default_timeout: shared.default_timeout,
         drain_timeout: shared.drain_timeout,

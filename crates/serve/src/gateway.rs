@@ -21,9 +21,6 @@
 //! * **Deadline & trace propagation** — every hop re-derives
 //!   `X-Ptmap-Deadline-Ms` from the *remaining* budget and carries the
 //!   client's `X-Ptmap-Trace-Id` through, so a trace spans the cluster.
-//! * **Shared cache tier** — with `--cache-dir`, a compile whose key is
-//!   already in the gateway's [`ReportCache`] is answered locally,
-//!   without the hop to a daemon; forwarded successes populate it.
 //! * **Async job continuity** — the gateway keeps each submitted job's
 //!   raw spec; polling a job whose owner died resubmits it to the next
 //!   live replica instead of surfacing the loss.
@@ -44,7 +41,6 @@ use crate::traces::TraceStore;
 use ptmap_core::PtMapConfig;
 use ptmap_governor::faultpoint::{fail_point, with_scope};
 use ptmap_governor::{faultpoint::sites, Budget};
-use ptmap_pipeline::{JobOutcome, ReportCache};
 use ptmap_trace::obs::{Level, LogFormat};
 use ptmap_trace::prom::{parse_label_set, Exposition, Kind, Value as Sample};
 use ptmap_trace::{
@@ -54,7 +50,6 @@ use ptmap_trace::{
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -84,9 +79,6 @@ pub struct GatewayConfig {
     /// Extra forward attempts after the first (resharded to the next
     /// replica each time).
     pub max_retries: u32,
-    /// Shared report-cache directory consulted before forwarding
-    /// (`None` = no gateway cache tier).
-    pub cache_dir: Option<PathBuf>,
     /// Base compiler configuration — must match the peers' so request
     /// keys (and therefore routing and cache identity) agree.
     pub base: PtMapConfig,
@@ -111,7 +103,6 @@ impl Default for GatewayConfig {
             failure_threshold: 3,
             cooldown: Duration::from_secs(2),
             max_retries: 3,
-            cache_dir: None,
             base: PtMapConfig::default(),
             default_timeout: Duration::from_secs(300),
             drain_timeout: Duration::from_secs(20),
@@ -185,7 +176,6 @@ struct GatewayState {
     config: GatewayConfig,
     ring: HashRing,
     peers: Vec<Peer>,
-    cache: Option<ReportCache>,
     /// Finished gateway-side span trees, ready for stitching.
     traces: TraceStore,
     /// (peer index, new state name) → transition count.
@@ -195,7 +185,6 @@ struct GatewayState {
     next_job_id: AtomicU64,
     retries: AtomicU64,
     requeued: AtomicU64,
-    shared_cache_hits: AtomicU64,
 }
 
 impl GatewayState {
@@ -304,20 +293,16 @@ impl Gateway {
                 probes_failed: AtomicU64::new(0),
             })
             .collect();
-        let cache_dir = config.cache_dir.as_deref();
-        let cache = cache_dir.map(ReportCache::with_dir_or_memory);
         let state = Arc::new(GatewayState {
             core,
             ring,
             peers,
-            cache,
             traces: TraceStore::new(),
             transitions: Mutex::new(BTreeMap::new()),
             jobs: Mutex::new(BTreeMap::new()),
             next_job_id: AtomicU64::new(1),
             retries: AtomicU64::new(0),
             requeued: AtomicU64::new(0),
-            shared_cache_hits: AtomicU64::new(0),
             config,
         });
         Ok(Gateway { listener, state })
@@ -350,7 +335,9 @@ impl Gateway {
                         for idx in 0..state.peers.len() {
                             probe_peer(&state, idx);
                         }
-                        std::thread::sleep(state.config.probe_interval);
+                        // Drain wakes the wait; while serving, the cadence
+                        // is `probe_interval`.
+                        state.core.wait_stop(state.config.probe_interval);
                     }
                 })
                 .expect("spawn prober")
@@ -374,10 +361,9 @@ impl Service for GatewayState {
         &self.core
     }
 
-    /// `POST /compile`: cache tier, then a forward. The whole hop records a
-    /// gateway-side span tree under the client's trace id (or a freshly
-    /// minted one), which is retained for stitching with the daemon's
-    /// compile tree.
+    /// `POST /compile`: a forward. The whole hop records a gateway-side
+    /// span tree under the client's trace id (or a freshly minted one),
+    /// which is retained for stitching with the daemon's compile tree.
     fn compile(&self, request: &Request, _stream: &TcpStream) -> Response {
         if self.core.draining() {
             return draining_response(self);
@@ -978,7 +964,7 @@ fn draining_response(state: &GatewayState) -> Response {
 }
 
 /// The body of one traced sync compile: admission, ring lookup,
-/// shared-cache tier, forward.
+/// forward.
 fn compile_via_cluster(
     state: &GatewayState,
     request: &Request,
@@ -1008,39 +994,6 @@ fn compile_via_cluster(
         lookup.attr("replicas", order.len());
     }
 
-    // Shared cache tier: a key any peer (or a previous gateway run)
-    // already compiled is answered without a hop.
-    if let Some(cache) = &state.cache {
-        let lookup = root.tracer().span("shared_cache");
-        if let Some(report) = cache.get(&key) {
-            lookup.attr("hit", true);
-            state.shared_cache_hits.fetch_add(1, Ordering::Relaxed);
-            state.core.log.info(
-                "compile",
-                Some(trace_id),
-                "",
-                &[
-                    ("name", name.as_str().into()),
-                    ("status", 200u64.into()),
-                    ("cache_hit", true.into()),
-                ],
-            );
-            let outcome = JobOutcome {
-                name,
-                cache_hit: true,
-                report: Some(report),
-                error: None,
-                error_class: None,
-                degraded: None,
-                retries: 0,
-                trace_id: Some(trace_id.to_string()),
-            };
-            return outcome_response(&outcome)
-                .with_header("X-Ptmap-Gateway-Cache", "hit".to_string());
-        }
-        lookup.attr("hit", false);
-    }
-
     // Always propagate the gateway's trace id: the daemon adopts it
     // (and force-keeps the trace), so its compile tree is fetchable
     // under the same id for stitching.
@@ -1063,16 +1016,6 @@ fn compile_via_cluster(
     );
     match forwarded {
         Ok((resp, idx)) => {
-            // Populate the shared tier from forwarded successes.
-            if resp.status == 200 {
-                if let Some(cache) = &state.cache {
-                    if let Ok(outcome) = serde_json::from_str::<JobOutcome>(&resp.body_text()) {
-                        if let Some(report) = &outcome.report {
-                            cache.put(&key, report);
-                        }
-                    }
-                }
-            }
             state.core.log.info(
                 "compile",
                 Some(trace_id),
@@ -1339,11 +1282,6 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
             "ptmap_gateway_jobs_requeued_total",
             "Async jobs resubmitted after their owner died.",
             &state.requeued,
-        ),
-        (
-            "ptmap_gateway_cache_hits_total",
-            "Compiles answered from the gateway's shared cache tier.",
-            &state.shared_cache_hits,
         ),
     ] {
         w.scalar(name, Kind::Counter, help, value.load(Ordering::Relaxed));

@@ -1,13 +1,16 @@
 //! The HTTP service skeleton shared by `ptmap serve` and `ptmap gateway`.
 //!
-//! Both are the same kind of process: a nonblocking accept loop that
+//! Both are the same kind of process: a blocking accept loop that
 //! hands each connection to its own thread, one request per connection,
 //! a router whose plumbing endpoints (`/metrics`, `/debug/events`,
 //! `/healthz`, the `/jobs/<id>` family, the 404/405 fallbacks) behave
 //! identically, and a drain that stops accepting, waits for open
 //! connections, then cancels stragglers through the root [`Budget`].
-//! This module owns all of that. The daemon and the gateway implement
-//! [`Service`]: their own endpoints, state and drain hooks.
+//! A stop watcher thread ends the accept loop: once a shutdown is
+//! requested it connects to the service's own listener, which returns
+//! the blocked `accept`. This module owns all of that. The daemon and
+//! the gateway implement [`Service`]: their own endpoints, state and
+//! drain hooks.
 
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::metrics::ServiceMetrics;
@@ -18,10 +21,16 @@ use ptmap_mapper::BackendKind;
 use ptmap_pipeline::{request_key, Job, JobOutcome, JobSpec};
 use ptmap_trace::obs::{EventLog, Level, LogFormat};
 use ptmap_trace::AttrValue;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How often the stop watcher reads the signal flag. A signal handler
+/// can only set the flag, not notify a condvar, so this one thread
+/// polls it; nothing on the request path does.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
 
 /// What a service adds to the skeleton: its endpoints and drain hooks.
 pub(crate) trait Service: Send + Sync + 'static {
@@ -66,8 +75,10 @@ pub(crate) struct Core {
     pub(crate) root: Budget,
     /// How long drain waits for in-flight work before cancelling it.
     pub(crate) drain_timeout: Duration,
-    /// In-process shutdown request (tests; the CLI uses [`signal`]).
-    stop: AtomicBool,
+    /// In-process shutdown request (tests; the CLI uses [`signal`]),
+    /// and the condvar that wakes [`Core::wait_stop`] when it is set.
+    stop: Mutex<bool>,
+    stop_cv: Condvar,
     draining: AtomicBool,
     /// Open HTTP connections (drain waits for zero).
     conns: Mutex<usize>,
@@ -75,7 +86,7 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    /// Binds a nonblocking listener on `addr`, pins the start-time
+    /// Binds a blocking listener on `addr`, pins the start-time
     /// gauge, and installs the event log process-wide so library code
     /// (pipeline cache warnings) reaches it too.
     pub(crate) fn bind(
@@ -86,7 +97,6 @@ impl Core {
         drain_timeout: Duration,
     ) -> std::io::Result<(TcpListener, Core)> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         crate::metrics::process_start_seconds();
         let log = Arc::new(EventLog::new(component, log_level, log_format));
         ptmap_trace::obs::install(Arc::clone(&log));
@@ -95,7 +105,8 @@ impl Core {
             metrics: ServiceMetrics::default(),
             root: Budget::cancellable(),
             drain_timeout,
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            stop_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             conns: Mutex::new(0),
             conns_cv: Condvar::new(),
@@ -106,7 +117,27 @@ impl Core {
     /// Whether SIGTERM/SIGINT or [`ServiceHandle::shutdown`] asked the
     /// service to stop.
     pub(crate) fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire) || signal::shutdown_requested()
+        *lock_unpoisoned(&self.stop) || signal::shutdown_requested()
+    }
+
+    /// Asks the service to stop and wakes every [`Core::wait_stop`].
+    fn request_stop(&self) {
+        *lock_unpoisoned(&self.stop) = true;
+        self.stop_cv.notify_all();
+    }
+
+    /// Sleeps for `timeout`, or less once a stop is requested, and
+    /// returns [`Core::stopping`]. A signal wakes it within
+    /// [`SIGNAL_POLL`]: the stop watcher turns the flag into a
+    /// [`Core::request_stop`].
+    pub(crate) fn wait_stop(&self, timeout: Duration) -> bool {
+        let stop = lock_unpoisoned(&self.stop);
+        let stop = self
+            .stop_cv
+            .wait_timeout_while(stop, timeout, |stop| !*stop)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+        *stop || signal::shutdown_requested()
     }
 
     /// Whether the service has stopped accepting and is draining.
@@ -276,7 +307,7 @@ impl ServiceHandle {
 
     /// Requests a graceful drain, as if SIGTERM arrived.
     pub fn shutdown(&self) {
-        self.state.core().stop.store(true, Ordering::Release);
+        self.state.core().request_stop();
     }
 
     /// The rendered `/metrics` document, without anything that needs
@@ -307,9 +338,12 @@ impl<S: Service> Drop for ConnGuard<S> {
 /// (false means the root budget had to cancel work).
 pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl FnOnce()) -> bool {
     let core = state.core();
-    // Nonblocking, so the shutdown flags are polled between accepts.
+    let watcher = spawn_stop_watcher(Arc::clone(&state), &listener);
     while !core.stopping() {
         match listener.accept() {
+            // The watcher's wake-up, or a client that lost the race
+            // with the stop: closed unanswered, as the backlog is.
+            Ok(_) if core.stopping() => break,
             Ok((stream, _peer)) => {
                 *lock_unpoisoned(&core.conns) += 1;
                 let guard = ConnGuard(Arc::clone(&state));
@@ -320,9 +354,6 @@ pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl
                         let guard = guard;
                         handle_connection(&*guard.0, stream);
                     });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -339,6 +370,7 @@ pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl
 
     drop(listener);
     core.draining.store(true, Ordering::Release);
+    let _ = watcher.join();
     state.begin_drain();
     let mut clean = wait_idle(&*state, Instant::now() + core.drain_timeout);
     if !clean {
@@ -369,6 +401,43 @@ pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl
     clean
 }
 
+/// Spawns the thread that ends the accept loop: it waits for a stop
+/// request (a signal, seen within [`SIGNAL_POLL`], or
+/// [`ServiceHandle::shutdown`]), passes it on to every
+/// [`Core::wait_stop`], then connects to the listener so the blocked
+/// `accept` returns. The connect is retried until the loop has exited,
+/// so a lost or refused wake-up cannot hang the drain.
+fn spawn_stop_watcher<S: Service>(state: Arc<S>, listener: &TcpListener) -> JoinHandle<()> {
+    let bound = listener
+        .local_addr()
+        .expect("a bound listener has an address");
+    let wake = wake_addr(bound);
+    std::thread::Builder::new()
+        .name("ptmap-stop".to_string())
+        .spawn(move || {
+            let core = state.core();
+            while !core.wait_stop(SIGNAL_POLL) {}
+            core.request_stop();
+            while !core.draining() {
+                // Dropped at once: the loop closes it unanswered.
+                let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        })
+        .expect("spawn stop watcher")
+}
+
+/// Where the stop watcher connects: the bound address, through
+/// loopback when the service listens on every interface.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
 /// Waits until no connection is open and the service is not busy, or
 /// `deadline` passes. Returns whether idle was reached.
 fn wait_idle<S: Service>(state: &S, deadline: Instant) -> bool {
@@ -388,7 +457,7 @@ fn wait_idle<S: Service>(state: &S, deadline: Instant) -> bool {
         conns = core
             .conns_cv
             .wait_timeout(conns, wait)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .0;
     }
 }

@@ -5,13 +5,14 @@
 //! crate in the workspace, so instead we declare libc's `signal(2)`
 //! directly (it is in every libc the workspace builds against) and do
 //! nothing in the handler but store into an `AtomicBool` — the one
-//! operation that is unconditionally async-signal-safe. The accept
-//! loop polls the flag between `accept` attempts.
+//! operation that is unconditionally async-signal-safe. Each service's
+//! stop watcher polls the flag, off the request path, and wakes the
+//! blocking `accept` (see `service.rs`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler (or [`request_shutdown`]); polled by the
-/// accept loop.
+/// Set by the signal handler (or [`request_shutdown`]); polled by each
+/// service's stop watcher.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]

@@ -251,7 +251,7 @@ fn gateway_bad_flags_exit_two() {
             "auto",
         ],
         // Removed knobs: hedging, the stitched-trace export, the
-        // backoff step (now a fixed 25 ms).
+        // backoff step (now a fixed 25 ms), the shared cache tier.
         &[
             "gateway",
             "--peers",
@@ -267,6 +267,13 @@ fn gateway_bad_flags_exit_two() {
             "/tmp/x",
         ],
         &["gateway", "--peers", "127.0.0.1:7100", "--backoff-ms", "10"],
+        &[
+            "gateway",
+            "--peers",
+            "127.0.0.1:7100",
+            "--cache-dir",
+            "/tmp/x",
+        ],
     ];
     for args in cases {
         let out = ptmap().args(*args).output().unwrap();

@@ -10,7 +10,7 @@ use ptmap_trace::prom::check_prometheus_text;
 use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Boots an in-process server on an ephemeral port.
@@ -128,6 +128,21 @@ fn metric_value(text: &str, metric: &str) -> Option<f64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
+/// The highest `N` among the `model-v<N>.bin` snapshots in `dir`.
+fn latest_snapshot(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("model dir")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            name.strip_prefix("model-v")?
+                .strip_suffix(".bin")?
+                .parse()
+                .ok()
+        })
+        .max()
+        .expect("at least one persisted snapshot")
+}
+
 #[test]
 fn learning_lifecycle_smoke_and_snapshot_reload() {
     let dir = scratch("smoke");
@@ -142,20 +157,18 @@ fn learning_lifecycle_smoke_and_snapshot_reload() {
     assert!(dir.join("model-v1.bin").exists(), "boot snapshot exists");
 
     // Drive distinct compiles (distinct kernels, so none cache-hit or
-    // coalesce away) until a full train → shadow → verdict lifecycle
-    // has run.
-    for i in 0..16u32 {
-        let (status, body) = http(
-            addr,
-            "POST",
-            "/compile",
-            &compile_spec(&format!("learn-{i}"), &format!("vecsum:{}", 8 + i)),
-        );
-        assert_eq!(status, 200, "compile {i}: {body}");
-    }
+    // coalesce away), paced by `wait_for`, until a full train → shadow
+    // → verdict lifecycle has run. A shadow window scores only samples
+    // that arrive after its candidate is trained, so the traffic keeps
+    // coming until the verdict.
+    let mut sent = 0u32;
     wait_for("a shadow verdict", Duration::from_secs(60), || {
+        let spec = compile_spec(&format!("learn-{sent}"), &format!("vecsum:{}", 8 + sent));
+        let (status, body) = http(addr, "POST", "/compile", &spec);
+        assert_eq!(status, 200, "compile {sent}: {body}");
+        sent += 1;
         let s = model_status(addr);
-        status_u64(&s, "promotions") + status_u64(&s, "rejections") >= 1
+        sent >= 16 && status_u64(&s, "promotions") + status_u64(&s, "rejections") >= 1
     });
 
     let status = model_status(addr);
@@ -191,8 +204,17 @@ fn learning_lifecycle_smoke_and_snapshot_reload() {
     handle.shutdown();
     runner.join().expect("server thread");
 
-    // A restart restores the persisted version — promoted or not, the
-    // snapshot round-trips.
+    // A later lifecycle (or the trainer's final pump at drain) may
+    // still have promoted after the read above, so the version the
+    // daemon held at drain is its highest persisted snapshot.
+    let held = latest_snapshot(&dir);
+    assert!(
+        held >= final_version,
+        "v{held} persisted, v{final_version} served"
+    );
+
+    // A restart restores that version — promoted or not, the snapshot
+    // round-trips.
     let (addr2, handle2, runner2) = boot(ServeConfig {
         learn: Some(tiny_learn(Some(dir.clone()))),
         ..ServeConfig::default()
@@ -200,7 +222,7 @@ fn learning_lifecycle_smoke_and_snapshot_reload() {
     let reborn = model_status(addr2);
     assert_eq!(
         status_u64(&reborn, "version"),
-        final_version,
+        held,
         "restart must reload the latest snapshot"
     );
     handle2.shutdown();
