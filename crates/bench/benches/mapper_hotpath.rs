@@ -6,12 +6,17 @@
 //! the homogeneous S4 (tight capacity, lots of contention) and the
 //! large SL8 (long routes across a 8x8 array), plus a high-fanout
 //! kernel that stresses shared route trees.
+//!
+//! `build_dfg/fig9_candidates` times the front end in front of every
+//! mapping: it builds the DFG of every candidate the default exploration
+//! yields for the eleven fig9 apps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ptmap_arch::presets;
 use ptmap_ir::dfg::build_dfg;
 use ptmap_ir::{Dfg, Program, ProgramBuilder};
 use ptmap_mapper::{map_dfg, MapperConfig};
+use ptmap_transform::{explore, ExploreConfig, PnlCandidate};
 
 fn gemm(n: u64) -> Program {
     let mut b = ProgramBuilder::new("gemm");
@@ -86,5 +91,25 @@ fn mapper_hotpath(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, mapper_hotpath);
+fn build_dfg_fig9(c: &mut Criterion) {
+    let config = ExploreConfig::default();
+    let forests: Vec<_> = ptmap_workloads::apps::all()
+        .iter()
+        .map(|(_, p)| explore(p, &config))
+        .collect();
+    let candidates: Vec<&PnlCandidate> = forests
+        .iter()
+        .flat_map(|f| &f.variants)
+        .flat_map(|v| v.pnl_candidates.iter().flatten())
+        .collect();
+    c.bench_function("build_dfg/fig9_candidates", |b| {
+        b.iter(|| {
+            for cand in &candidates {
+                let _ = black_box(build_dfg(&cand.program, &cand.nest, &cand.unroll));
+            }
+        });
+    });
+}
+
+criterion_group!(benches, mapper_hotpath, build_dfg_fig9);
 criterion_main!(benches);

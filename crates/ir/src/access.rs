@@ -97,13 +97,19 @@ impl ArrayAccess {
     pub fn is_uniform_with(&self, other: &ArrayAccess) -> bool {
         self.array == other.array
             && self.indices.len() == other.indices.len()
-            && self.indices.iter().zip(&other.indices).all(|(a, b)| {
-                let mut loops: Vec<LoopId> = a.loops().chain(b.loops()).collect();
-                loops.sort_unstable();
-                loops.dedup();
-                loops.into_iter().all(|l| a.coeff(l) == b.coeff(l))
-            })
+            && self
+                .indices
+                .iter()
+                .zip(&other.indices)
+                .all(|(a, b)| nonzero_terms(a).eq(nonzero_terms(b)))
     }
+}
+
+/// The terms of `e` in loop order, skipping any stored zero coefficient
+/// (a deserialized expression may carry one), so two expressions have
+/// equal coefficients on every loop exactly when these sequences match.
+fn nonzero_terms(e: &AffineExpr) -> impl Iterator<Item = (LoopId, i64)> + '_ {
+    e.terms().filter(|&(_, c)| c != 0)
 }
 
 impl fmt::Display for ArrayAccess {

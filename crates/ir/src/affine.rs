@@ -94,6 +94,20 @@ impl AffineExpr {
         out + replacement.clone() * c
     }
 
+    /// Substitutes `loop_id := factor*loop_id + offset` in place: the
+    /// coefficient `c` becomes `c*factor` and the constant gains
+    /// `c*offset`. Equal to [`substitute`](Self::substitute) with that
+    /// replacement, zero coefficients dropped alike.
+    pub(crate) fn unroll_in_place(&mut self, loop_id: LoopId, factor: i64, offset: i64) {
+        let c = self.coeff(loop_id);
+        if c == 0 {
+            return;
+        }
+        self.coeffs.insert(loop_id, c * factor);
+        self.constant += c * offset;
+        self.coeffs.retain(|_, c| *c != 0);
+    }
+
     /// Evaluates the expression for a concrete assignment of loop indices.
     ///
     /// Loops absent from `assignment` evaluate as zero.
@@ -252,6 +266,46 @@ mod tests {
         let out = e.substitute(LoopId(0), &(i() + AffineExpr::constant(2)));
         assert_eq!(out.coeff(LoopId(0)), 1);
         assert_eq!(out.constant_term(), 7);
+    }
+
+    #[test]
+    fn unroll_in_place_matches_substitute() {
+        let stored_zero = AffineExpr {
+            coeffs: [(LoopId(0), 0), (LoopId(1), 3)].into_iter().collect(),
+            constant: 5,
+        };
+        for e in [i() * 2 + j() - AffineExpr::constant(1), stored_zero] {
+            for (l, f, off) in [(LoopId(0), 4, 3), (LoopId(1), 2, 0), (LoopId(2), 8, 1)] {
+                let mut out = e.clone();
+                out.unroll_in_place(l, f, off);
+                let repl = AffineExpr::var(l) * f + AffineExpr::constant(off);
+                assert_eq!(
+                    out,
+                    e.substitute(l, &repl),
+                    "{e} with {l} := {f}*{l} + {off}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stored_zero_coefficients_are_uniform() {
+        // A deserialized expression may store a zero coefficient; it
+        // counts as absent, so these subscripts are uniform.
+        use crate::access::ArrayAccess;
+        use crate::id::ArrayId;
+        let stored_zero = AffineExpr {
+            coeffs: [(LoopId(0), 2), (LoopId(1), 0)].into_iter().collect(),
+            constant: 7,
+        };
+        let a = ArrayAccess::new(ArrayId(0), vec![stored_zero.clone()]);
+        let b = ArrayAccess::new(ArrayId(0), vec![i() * 2]);
+        assert_ne!(stored_zero, i() * 2 + AffineExpr::constant(7));
+        assert!(a.is_uniform_with(&b));
+        assert!(b.is_uniform_with(&a));
+        let c = ArrayAccess::new(ArrayId(0), vec![i() * 2 + j()]);
+        assert!(!a.is_uniform_with(&c));
+        assert!(!c.is_uniform_with(&a));
     }
 
     #[test]

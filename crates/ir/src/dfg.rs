@@ -26,7 +26,7 @@ use crate::access::ArrayAccess;
 use crate::affine::AffineExpr;
 use crate::error::IrError;
 use crate::expr::{Expr, LValue, Stmt};
-use crate::id::{LoopId, NodeId, ScalarId};
+use crate::id::{ArrayId, LoopId, NodeId, ScalarId};
 use crate::nest::PerfectNest;
 use crate::op::{OpClass, OpKind};
 use crate::program::Program;
@@ -411,24 +411,19 @@ pub fn build_dfg(
         .collect();
     builder.written_scalars = written;
 
-    // Enumerate offset combinations in lexicographic order.
+    // Enumerate offset combinations in lexicographic order. Each copy
+    // substitutes `l := f*l + off` for every unrolled `(l, f, off)`,
+    // applied while walking the original statements.
     let total: u64 = dims.iter().map(|&(_, f)| f as u64).product();
+    let mut inst: Vec<(LoopId, u32, u32)> = dims.iter().map(|&(l, f)| (l, f, 0)).collect();
     for combo in 0..total.max(1) {
         let mut rem = combo;
-        let mut offsets: Vec<(LoopId, u32, u32)> = Vec::new(); // (loop, factor, offset)
-        for &(l, f) in dims.iter().rev() {
-            offsets.push((l, f, (rem % f as u64) as u32));
-            rem /= f as u64;
+        for slot in inst.iter_mut().rev() {
+            slot.2 = (rem % slot.1 as u64) as u32;
+            rem /= slot.1 as u64;
         }
-        offsets.reverse();
         for stmt in &nest.stmts {
-            let mut inst = stmt.clone();
-            for &(l, f, off) in &offsets {
-                // i := f*i + off
-                let repl = AffineExpr::var(l) * f as i64 + AffineExpr::constant(off as i64);
-                inst = inst.substitute(l, &repl);
-            }
-            builder.emit_stmt(&inst);
+            builder.emit_stmt(stmt, &inst);
         }
     }
     builder.patch_pending();
@@ -436,12 +431,70 @@ pub fn build_dfg(
     Ok(builder.dfg)
 }
 
+/// One unrolled copy of the body: `(loop, factor, offset)` for each
+/// unrolled loop in nest order. The copy reads loop `l` as `f*l + off`.
+type Instance = [(LoopId, u32, u32)];
+
+/// `acc` as the copy `inst` reads it: every subscript with each
+/// `l := f*l + off` applied, equal to [`ArrayAccess::substitute`] with
+/// those replacements in turn.
+fn instantiate(acc: &ArrayAccess, inst: &Instance) -> ArrayAccess {
+    let mut out = acc.clone();
+    for e in &mut out.indices {
+        for &(l, f, off) in inst {
+            e.unroll_in_place(l, f as i64, off as i64);
+        }
+    }
+    out
+}
+
+/// Whether `have == instantiate(orig, inst)`, decided without building
+/// the right-hand side.
+fn is_instance(have: &ArrayAccess, orig: &ArrayAccess, inst: &Instance) -> bool {
+    have.array == orig.array
+        && have.indices.len() == orig.indices.len()
+        && have
+            .indices
+            .iter()
+            .zip(&orig.indices)
+            .all(|(h, e)| is_subscript_instance(h, e, inst))
+}
+
+fn is_subscript_instance(have: &AffineExpr, orig: &AffineExpr, inst: &Instance) -> bool {
+    let mut constant = orig.constant_term();
+    let mut touched = false;
+    for &(l, _, off) in inst {
+        let c = orig.coeff(l);
+        if c != 0 {
+            touched = true;
+            constant += c * off as i64;
+        }
+    }
+    if !touched {
+        // No substitution applies, so the copy keeps the subscript
+        // verbatim, a stored zero coefficient included.
+        return have == orig;
+    }
+    // Each applied substitution scales its loop's coefficient and drops
+    // every zero coefficient.
+    let factor = |l: LoopId| {
+        inst.iter()
+            .find(|&&(u, _, _)| u == l)
+            .map_or(1, |&(_, f, _)| f as i64)
+    };
+    have.constant_term() == constant
+        && have.terms().eq(orig
+            .terms()
+            .map(|(l, c)| (l, c * factor(l)))
+            .filter(|&(_, c)| c != 0))
+}
+
 #[derive(Default)]
 struct DfgBuilder {
     dfg: Dfg,
-    /// CSE cache of loads, keyed by exact access. Invalidated per array by
-    /// stores.
-    load_cache: HashMap<ArrayAccess, NodeId>,
+    /// Loads available for CSE, with their arrays; no two carry equal
+    /// accesses. A store drops the loads of its array.
+    live_loads: Vec<(ArrayId, NodeId)>,
     const_cache: HashMap<i64, NodeId>,
     index_cache: HashMap<LoopId, NodeId>,
     scalar_env: HashMap<ScalarId, NodeId>,
@@ -451,13 +504,37 @@ struct DfgBuilder {
     pending_reads: Vec<(ScalarId, NodeId)>,
     written_scalars: Vec<ScalarId>,
     stores: Vec<NodeId>,
-    loads: Vec<NodeId>,
+    loads: Vec<(ArrayId, NodeId)>,
 }
 
 impl DfgBuilder {
-    fn emit_stmt(&mut self, stmt: &Stmt) {
+    /// Adds a data edge into `dst` unless it is already there. Every
+    /// data edge into a node is added right after the node (a pending
+    /// read's `Route` node has none until its one patch edge), so the
+    /// edges into `dst` are the trailing run of the edge list.
+    fn add_data_edge(&mut self, src: NodeId, dst: NodeId, dist: u32) {
+        let e = DfgEdge {
+            src,
+            dst,
+            dist,
+            kind: EdgeKind::Data,
+        };
+        let edges = &mut self.dfg.edges;
+        if !edges
+            .iter()
+            .rev()
+            .take_while(|x| x.dst == dst)
+            .any(|x| *x == e)
+        {
+            edges.push(e);
+        }
+    }
+
+    fn emit_stmt(&mut self, stmt: &Stmt, inst: &Instance) {
         // Reassociated scalar reduction: `s = s ⊕ x` becomes an ⊕ node
-        // with a distance-1 self edge; no separate read of `s`.
+        // with a distance-1 self edge; no separate read of `s`. Every
+        // copy of a statement is a reduction exactly when the original
+        // is: the substitution maps equal accesses to equal accesses.
         if stmt.is_reduction() {
             if let (LValue::Scalar(s), Expr::Binary(op, a, b)) = (&stmt.target, &stmt.value) {
                 let other = if matches!(**a, Expr::Scalar(x) if x == *s) {
@@ -467,49 +544,74 @@ impl DfgBuilder {
                 } else {
                     unreachable!("is_reduction guarantees an operand reads the target")
                 };
-                let x = self.emit_expr(other);
+                let x = self.emit_expr(other, inst);
                 let acc = self.dfg.add_node(*op, None, None);
-                self.dfg.add_edge(x, acc, 0);
-                self.dfg.add_edge(acc, acc, 1);
+                self.add_data_edge(x, acc, 0);
+                self.add_data_edge(acc, acc, 1);
                 self.scalar_env.insert(*s, acc);
                 return;
             }
         }
-        let value = self.emit_expr(&stmt.value);
+        let value = self.emit_expr(&stmt.value, inst);
         match &stmt.target {
             LValue::Scalar(s) => {
                 self.scalar_env.insert(*s, value);
             }
             LValue::Array(acc) => {
-                let st = self.dfg.add_node(OpKind::Store, Some(acc.clone()), None);
-                self.dfg.add_edge(value, st, 0);
+                let st = self
+                    .dfg
+                    .add_node(OpKind::Store, Some(instantiate(acc, inst)), None);
+                self.add_data_edge(value, st, 0);
                 self.stores.push(st);
                 // Invalidate cached loads of this array (conservative
                 // may-alias within the body).
-                self.load_cache.retain(|k, _| k.array != acc.array);
+                self.live_loads.retain(|&(a, _)| a != acc.array);
             }
         }
     }
 
-    fn emit_expr(&mut self, e: &Expr) -> NodeId {
+    fn emit_const(&mut self, c: i64) -> NodeId {
+        if let Some(&n) = self.const_cache.get(&c) {
+            return n;
+        }
+        let n = self.dfg.add_node(OpKind::Const, None, Some(c));
+        self.const_cache.insert(c, n);
+        n
+    }
+
+    fn emit_index(&mut self, l: LoopId) -> NodeId {
+        if let Some(&n) = self.index_cache.get(&l) {
+            return n;
+        }
+        // Loop counters are produced by the controller; model as a
+        // constant-class node occupying an issue slot once.
+        let n = self.dfg.add_node(OpKind::Const, None, None);
+        self.index_cache.insert(l, n);
+        n
+    }
+
+    fn emit_expr(&mut self, e: &Expr, inst: &Instance) -> NodeId {
         match e {
-            Expr::Const(c) => {
-                if let Some(&n) = self.const_cache.get(c) {
-                    return n;
-                }
-                let n = self.dfg.add_node(OpKind::Const, None, Some(*c));
-                self.const_cache.insert(*c, n);
-                n
-            }
+            Expr::Const(c) => self.emit_const(*c),
             Expr::Index(l) => {
-                if let Some(&n) = self.index_cache.get(l) {
-                    return n;
+                let Some(&(_, f, off)) = inst.iter().find(|&&(u, _, _)| u == *l) else {
+                    return self.emit_index(*l);
+                };
+                // The unrolled leaf `f*l + off` (f > 1), in the node order
+                // of the tree `Expr::substitute` builds for it.
+                let fac = self.emit_const(f as i64);
+                let idx = self.emit_index(*l);
+                let mul = self.dfg.add_node(OpKind::Mul, None, None);
+                self.add_data_edge(fac, mul, 0);
+                self.add_data_edge(idx, mul, 0);
+                if off == 0 {
+                    return mul;
                 }
-                // Loop counters are produced by the controller; model as a
-                // constant-class node occupying an issue slot once.
-                let n = self.dfg.add_node(OpKind::Const, None, None);
-                self.index_cache.insert(*l, n);
-                n
+                let shift = self.emit_const(off as i64);
+                let add = self.dfg.add_node(OpKind::Add, None, None);
+                self.add_data_edge(mul, add, 0);
+                self.add_data_edge(shift, add, 0);
+                add
             }
             Expr::Scalar(s) => {
                 if let Some(&n) = self.scalar_env.get(s) {
@@ -528,26 +630,37 @@ impl DfgBuilder {
                 }
             }
             Expr::Load(acc) => {
-                if let Some(&n) = self.load_cache.get(acc) {
+                let nodes = &self.dfg.nodes;
+                let hit = self.live_loads.iter().find(|&&(a, n)| {
+                    a == acc.array
+                        && is_instance(
+                            nodes[n.index()].access.as_ref().expect("load has access"),
+                            acc,
+                            inst,
+                        )
+                });
+                if let Some(&(_, n)) = hit {
                     return n;
                 }
-                let n = self.dfg.add_node(OpKind::Load, Some(acc.clone()), None);
-                self.load_cache.insert(acc.clone(), n);
-                self.loads.push(n);
+                let n = self
+                    .dfg
+                    .add_node(OpKind::Load, Some(instantiate(acc, inst)), None);
+                self.live_loads.push((acc.array, n));
+                self.loads.push((acc.array, n));
                 n
             }
             Expr::Unary(op, a) => {
-                let an = self.emit_expr(a);
+                let an = self.emit_expr(a, inst);
                 let n = self.dfg.add_node(*op, None, None);
-                self.dfg.add_edge(an, n, 0);
+                self.add_data_edge(an, n, 0);
                 n
             }
             Expr::Binary(op, a, b) => {
-                let an = self.emit_expr(a);
-                let bn = self.emit_expr(b);
+                let an = self.emit_expr(a, inst);
+                let bn = self.emit_expr(b, inst);
                 let n = self.dfg.add_node(*op, None, None);
-                self.dfg.add_edge(an, n, 0);
-                self.dfg.add_edge(bn, n, 0);
+                self.add_data_edge(an, n, 0);
+                self.add_data_edge(bn, n, 0);
                 n
             }
         }
@@ -557,7 +670,7 @@ impl DfgBuilder {
         for (s, consumer) in std::mem::take(&mut self.pending_reads) {
             if let Some(&producer) = self.scalar_env.get(&s) {
                 // Value flows from the last write of the previous iteration.
-                self.dfg.add_edge(producer, consumer, 1);
+                self.add_data_edge(producer, consumer, 1);
             }
             // A scalar read with no write at all was already handled as a
             // live-in, so `scalar_env` always has an entry here.
@@ -566,15 +679,22 @@ impl DfgBuilder {
 
     /// Adds memory-carried edges between stores and loads of the same
     /// element across iterations of the pipelined loop `p`, in
-    /// (store, load) order.
+    /// (store, load) order. Only accesses to one array can alias, so a
+    /// store is paired with the loads of its own array alone.
     fn add_memory_edges(&mut self, p: LoopId) {
-        let mut edges = Vec::new();
         let nodes = &self.dfg.nodes;
+        // A stable sort keeps each array's loads in emission order.
+        self.loads.sort_by_key(|&(a, _)| a);
+        let mut edges = Vec::new();
         for &st in &self.stores {
             let sa = nodes[st.index()].access.as_ref().expect("store has access");
-            for &ld in &self.loads {
+            let first = self.loads.partition_point(|&(a, _)| a < sa.array);
+            for &(_, ld) in self.loads[first..]
+                .iter()
+                .take_while(|&&(a, _)| a == sa.array)
+            {
                 let la = nodes[ld.index()].access.as_ref().expect("load has access");
-                if la.array != sa.array || !la.is_uniform_with(sa) {
+                if !la.is_uniform_with(sa) {
                     continue;
                 }
                 // Solve e_store(t) == e_load(t + d) per dimension.
@@ -644,9 +764,17 @@ impl DfgBuilder {
                 }
             }
         }
-        for (src, dst, dist) in edges {
-            self.dfg.add_edge_kind(src, dst, dist, EdgeKind::Order);
-        }
+        // A (store, load) pair yields at most one edge and no other pair
+        // joins the same two nodes, so no order edge repeats; none equals
+        // a data edge, which differs in kind.
+        self.dfg
+            .edges
+            .extend(edges.into_iter().map(|(src, dst, dist)| DfgEdge {
+                src,
+                dst,
+                dist,
+                kind: EdgeKind::Order,
+            }));
     }
 }
 
@@ -778,6 +906,50 @@ mod tests {
             assert!(a <= l, "node {i}: asap {a} > alap {l}");
         }
         assert!(dfg.critical_path() >= 1);
+    }
+
+    #[test]
+    fn unrolled_index_leaf_is_the_substituted_tree() {
+        // B[i][j] = A[i][j] + i under a 2x2 unroll of (i, j): the copies
+        // with offset 0 on `i` read it as `2*i`, the others as `2*i + 1`,
+        // exactly as the tree `Expr::substitute` builds.
+        let mut b = ProgramBuilder::new("idx");
+        let a = b.array("A", &[16, 16]);
+        let bb = b.array("B", &[16, 16]);
+        let i = b.open_loop("i", 16);
+        let j = b.open_loop("j", 16);
+        let v = b.add(b.load(a, &[b.idx(i), b.idx(j)]), Expr::Index(i));
+        b.store(bb, &[b.idx(i), b.idx(j)], v);
+        b.close_loop();
+        b.close_loop();
+        let p = b.finish();
+        let nest = p.perfect_nests().remove(0);
+        let unroll = [(i, 2), (j, 2)];
+        let dfg = build_dfg(&p, &nest, &unroll).unwrap();
+
+        let mut expected = DfgBuilder::default();
+        for (off_i, off_j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            for stmt in &nest.stmts {
+                let inst = stmt
+                    .substitute(i, &(AffineExpr::var(i) * 2 + AffineExpr::constant(off_i)))
+                    .substitute(j, &(AffineExpr::var(j) * 2 + AffineExpr::constant(off_j)));
+                expected.emit_stmt(&inst, &[]);
+            }
+        }
+        expected.patch_pending();
+        expected.add_memory_edges(nest.pipelined_loop());
+        assert_eq!(dfg, expected.dfg);
+
+        // Per copy: load, Mul (and Add when the offset is not 0), the
+        // add of the body, the store; Const(2), Const(1) and the index
+        // node are shared.
+        let counts = dfg.op_counts();
+        assert_eq!(counts[&OpKind::Mul], 4);
+        assert_eq!(counts[&OpKind::Add], 4 + 2);
+        assert_eq!(counts[&OpKind::Const], 3);
+        assert!(dfg.nodes().iter().any(|n| n.imm == Some(2)));
+        assert!(dfg.nodes().iter().any(|n| n.imm == Some(1)));
+        dfg.validate().unwrap();
     }
 
     #[test]

@@ -76,8 +76,9 @@ impl Expr {
         }
     }
 
-    /// Substitutes a loop index inside every affine subscript (and `Index`
-    /// leaves when the replacement is itself a pure index or constant).
+    /// Substitutes a loop index inside every affine subscript and in every
+    /// `Index` leaf of that loop; a leaf becomes the replacement rebuilt
+    /// as an expression tree of `Const`, `Index`, `Mul` and `Add` nodes.
     pub fn substitute(&self, loop_id: LoopId, repl: &AffineExpr) -> Expr {
         match self {
             Expr::Const(_) | Expr::Scalar(_) => self.clone(),

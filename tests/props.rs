@@ -103,19 +103,33 @@ proptest! {
         prop_assert_eq!(s.critical_path, critical_path);
     }
 
-    /// `build_dfg` adds the same memory edges, in the same order, as the
-    /// clone-per-pair definition it replaced, under any unroll vector.
+    /// `build_dfg` returns the same DFG (nodes, edges and their order) as
+    /// the cloning definition it replaced, for random programs strip-mined
+    /// to 1-3 loops under random unroll vectors of 1-3 dimensions.
     #[test]
     fn build_dfg_memory_edges_match_the_cloning_definition(
         seed in 0u64..300,
-        factors in proptest::collection::vec(1u32..4, 3..4),
+        depth in 1usize..4,
+        dims in proptest::collection::vec((0usize..3, 1u32..9), 1..4),
     ) {
         let mut g = RandomProgramGenerator::new(RandomProgramConfig::default(), seed);
-        let p = g.next_program();
+        let mut p = g.next_program();
+        // Strip-mining the outermost loop by 4 adds a loop and gives the
+        // subscripts coefficients other than 1 (16*i_t_t + 4*i_t + i).
+        let mut outer = p.perfect_nests().remove(0).loops[0];
+        for _ in 1..depth {
+            (p, outer) = pt_map::transform::primitives::strip_mine(&p, outer, 4).unwrap();
+        }
         let nest = p.perfect_nests().remove(0);
-        let unroll: Vec<_> = nest.loops.iter().copied().zip(factors).collect();
+        let mut unroll: Vec<(LoopId, u32)> = Vec::new();
+        for (pos, f) in dims {
+            let l = nest.loops[pos % nest.loops.len()];
+            if unroll.iter().all(|&(u, _)| u != l) {
+                unroll.push((l, f));
+            }
+        }
         let dfg = build_dfg(&p, &nest, &unroll).unwrap();
-        prop_assert_eq!(&dfg, &cloning::with_memory_edges(&dfg, nest.pipelined_loop()));
+        prop_assert_eq!(&dfg, &cloning::build_dfg(&p, &nest, &unroll).unwrap());
     }
 
     /// Every successful mapping of a random program verifies: slots are
@@ -169,6 +183,33 @@ proptest! {
         let nest = q.perfect_nests().remove(0);
         prop_assert_eq!(nest.total_iterations(), n.div_ceil(tile) * tile);
     }
+}
+
+/// Every candidate the default exploration yields for the eleven fig9
+/// apps gets the DFG the cloning definition builds. They include memory
+/// reductions (COV, TMM), stencils (BLU, HAR) and scalar temporaries
+/// (WIN).
+#[test]
+fn fig9_candidates_match_the_cloning_definition() {
+    let config = pt_map::transform::ExploreConfig::default();
+    let mut checked = 0;
+    for (code, program) in pt_map::workloads::apps::all() {
+        let forest = pt_map::transform::explore(&program, &config);
+        for c in forest
+            .variants
+            .iter()
+            .flat_map(|v| v.pnl_candidates.iter().flatten())
+        {
+            assert_eq!(
+                build_dfg(&c.program, &c.nest, &c.unroll),
+                cloning::build_dfg(&c.program, &c.nest, &c.unroll),
+                "{code}: unroll {:?}",
+                c.unroll
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 1000, "only {checked} candidates");
 }
 
 /// The DFG schedule helpers as they were defined before they became
@@ -256,110 +297,264 @@ mod scan {
     }
 }
 
-/// `build_dfg`'s memory edges as they were added before they stopped
-/// cloning: both access lists and both accesses cloned per (store, load)
-/// pair, and each subscript distance read off a full subtraction.
+/// `build_dfg` as it was before it stopped rewriting statements: each
+/// unrolled copy clones every statement and substitutes it once per
+/// unrolled loop, loads are CSE'd through a map keyed on the substituted
+/// access, every store is paired with every load, and every edge is
+/// deduplicated against the whole edge list.
 mod cloning {
     use pt_map::ir::dfg::EdgeKind;
-    use pt_map::ir::{Dfg, LoopId, NodeId, OpKind};
+    use pt_map::ir::{
+        AffineExpr, ArrayAccess, Dfg, Expr, IrError, LValue, LoopId, NodeId, OpKind, PerfectNest,
+        Program, ScalarId, Stmt,
+    };
+    use std::collections::HashMap;
 
-    /// `dfg` without its memory (order) edges, which `build_dfg` adds
-    /// last, with them added back by the old definition.
-    pub fn with_memory_edges(dfg: &Dfg, p: LoopId) -> Dfg {
-        let mut out = Dfg::new();
-        for n in dfg.nodes() {
-            let id = out.add_node(n.op, n.access.clone(), n.imm);
-            if let Some(s) = n.scalar {
-                out.bind_scalar(id, s);
+    pub fn build_dfg(
+        program: &Program,
+        nest: &PerfectNest,
+        unroll: &[(LoopId, u32)],
+    ) -> Result<Dfg, IrError> {
+        for &(l, f) in unroll {
+            if f == 0 {
+                return Err(IrError::ZeroUnrollFactor);
+            }
+            if nest.position(l).is_none() {
+                return Err(IrError::BadUnrollArity {
+                    loops: nest.loops.len(),
+                    factors: unroll.len(),
+                });
             }
         }
-        for e in dfg.edges().iter().filter(|e| e.kind == EdgeKind::Data) {
-            out.add_edge_kind(e.src, e.dst, e.dist, e.kind);
-        }
-        let of = |op: OpKind| -> Vec<NodeId> {
-            out.nodes()
+        let _ = program;
+
+        let mut dims: Vec<(LoopId, u32)> = Vec::new();
+        for &l in &nest.loops {
+            let f = unroll
                 .iter()
-                .filter(|n| n.op == op)
-                .map(|n| n.id)
-                .collect()
-        };
-        let (stores, loads) = (of(OpKind::Store), of(OpKind::Load));
-        add_memory_edges(&mut out, &stores, &loads, p);
-        out
+                .find(|&&(ul, _)| ul == l)
+                .map(|&(_, f)| f)
+                .unwrap_or(1);
+            if f > 1 {
+                dims.push((l, f));
+            }
+        }
+
+        let mut builder = DfgBuilder::default();
+        let written: Vec<ScalarId> = nest
+            .stmts
+            .iter()
+            .filter_map(|s| match &s.target {
+                LValue::Scalar(sc) => Some(*sc),
+                _ => None,
+            })
+            .collect();
+        builder.written_scalars = written;
+
+        let total: u64 = dims.iter().map(|&(_, f)| f as u64).product();
+        for combo in 0..total.max(1) {
+            let mut rem = combo;
+            let mut offsets: Vec<(LoopId, u32, u32)> = Vec::new();
+            for &(l, f) in dims.iter().rev() {
+                offsets.push((l, f, (rem % f as u64) as u32));
+                rem /= f as u64;
+            }
+            offsets.reverse();
+            for stmt in &nest.stmts {
+                let mut inst = stmt.clone();
+                for &(l, f, off) in &offsets {
+                    let repl = AffineExpr::var(l) * f as i64 + AffineExpr::constant(off as i64);
+                    inst = inst.substitute(l, &repl);
+                }
+                builder.emit_stmt(&inst);
+            }
+        }
+        builder.patch_pending();
+        builder.add_memory_edges(nest.pipelined_loop());
+        Ok(builder.dfg)
     }
 
-    fn add_memory_edges(dfg: &mut Dfg, stores: &[NodeId], loads: &[NodeId], p: LoopId) {
-        let stores = stores.to_vec();
-        let loads = loads.to_vec();
-        for &st in &stores {
-            let sa = dfg.nodes()[st.index()]
-                .access
-                .clone()
-                .expect("store has access");
-            for &ld in &loads {
-                let la = dfg.nodes()[ld.index()]
-                    .access
-                    .clone()
-                    .expect("load has access");
-                if la.array != sa.array || !la.is_uniform_with(&sa) {
-                    continue;
-                }
-                let mut d: Option<i64> = None;
-                let mut same_everywhere = true;
-                let mut feasible = true;
-                for (es, el) in sa.indices.iter().zip(&la.indices) {
-                    let diff = es.clone() - el.clone();
-                    let k = diff.constant_term();
-                    let c = el.coeff(p);
-                    if c == 0 {
-                        if k != 0 {
-                            feasible = false;
-                            break;
-                        }
+    #[derive(Default)]
+    struct DfgBuilder {
+        dfg: Dfg,
+        load_cache: HashMap<ArrayAccess, NodeId>,
+        const_cache: HashMap<i64, NodeId>,
+        index_cache: HashMap<LoopId, NodeId>,
+        scalar_env: HashMap<ScalarId, NodeId>,
+        pending_reads: Vec<(ScalarId, NodeId)>,
+        written_scalars: Vec<ScalarId>,
+        stores: Vec<NodeId>,
+        loads: Vec<NodeId>,
+    }
+
+    impl DfgBuilder {
+        fn emit_stmt(&mut self, stmt: &Stmt) {
+            if stmt.is_reduction() {
+                if let (LValue::Scalar(s), Expr::Binary(op, a, b)) = (&stmt.target, &stmt.value) {
+                    let other = if matches!(**a, Expr::Scalar(x) if x == *s) {
+                        b
+                    } else if matches!(**b, Expr::Scalar(x) if x == *s) {
+                        a
                     } else {
-                        same_everywhere = false;
-                        if k % c != 0 {
-                            feasible = false;
-                            break;
-                        }
-                        let this_d = k / c;
-                        match d {
-                            None => d = Some(this_d),
-                            Some(prev) if prev != this_d => {
+                        unreachable!("is_reduction guarantees an operand reads the target")
+                    };
+                    let x = self.emit_expr(other);
+                    let acc = self.dfg.add_node(*op, None, None);
+                    self.dfg.add_edge(x, acc, 0);
+                    self.dfg.add_edge(acc, acc, 1);
+                    self.scalar_env.insert(*s, acc);
+                    return;
+                }
+            }
+            let value = self.emit_expr(&stmt.value);
+            match &stmt.target {
+                LValue::Scalar(s) => {
+                    self.scalar_env.insert(*s, value);
+                }
+                LValue::Array(acc) => {
+                    let st = self.dfg.add_node(OpKind::Store, Some(acc.clone()), None);
+                    self.dfg.add_edge(value, st, 0);
+                    self.stores.push(st);
+                    self.load_cache.retain(|k, _| k.array != acc.array);
+                }
+            }
+        }
+
+        fn emit_expr(&mut self, e: &Expr) -> NodeId {
+            match e {
+                Expr::Const(c) => {
+                    if let Some(&n) = self.const_cache.get(c) {
+                        return n;
+                    }
+                    let n = self.dfg.add_node(OpKind::Const, None, Some(*c));
+                    self.const_cache.insert(*c, n);
+                    n
+                }
+                Expr::Index(l) => {
+                    if let Some(&n) = self.index_cache.get(l) {
+                        return n;
+                    }
+                    let n = self.dfg.add_node(OpKind::Const, None, None);
+                    self.index_cache.insert(*l, n);
+                    n
+                }
+                Expr::Scalar(s) => {
+                    if let Some(&n) = self.scalar_env.get(s) {
+                        n
+                    } else if self.written_scalars.contains(s) {
+                        let n = self.dfg.add_node(OpKind::Route, None, None);
+                        self.pending_reads.push((*s, n));
+                        n
+                    } else {
+                        let n = self.dfg.add_node(OpKind::Const, None, None);
+                        self.dfg.bind_scalar(n, *s);
+                        self.scalar_env.insert(*s, n);
+                        n
+                    }
+                }
+                Expr::Load(acc) => {
+                    if let Some(&n) = self.load_cache.get(acc) {
+                        return n;
+                    }
+                    let n = self.dfg.add_node(OpKind::Load, Some(acc.clone()), None);
+                    self.load_cache.insert(acc.clone(), n);
+                    self.loads.push(n);
+                    n
+                }
+                Expr::Unary(op, a) => {
+                    let an = self.emit_expr(a);
+                    let n = self.dfg.add_node(*op, None, None);
+                    self.dfg.add_edge(an, n, 0);
+                    n
+                }
+                Expr::Binary(op, a, b) => {
+                    let an = self.emit_expr(a);
+                    let bn = self.emit_expr(b);
+                    let n = self.dfg.add_node(*op, None, None);
+                    self.dfg.add_edge(an, n, 0);
+                    self.dfg.add_edge(bn, n, 0);
+                    n
+                }
+            }
+        }
+
+        fn patch_pending(&mut self) {
+            for (s, consumer) in std::mem::take(&mut self.pending_reads) {
+                if let Some(&producer) = self.scalar_env.get(&s) {
+                    self.dfg.add_edge(producer, consumer, 1);
+                }
+            }
+        }
+
+        fn add_memory_edges(&mut self, p: LoopId) {
+            let mut edges = Vec::new();
+            let nodes = self.dfg.nodes();
+            for &st in &self.stores {
+                let sa = nodes[st.index()].access.as_ref().expect("store has access");
+                for &ld in &self.loads {
+                    let la = nodes[ld.index()].access.as_ref().expect("load has access");
+                    if la.array != sa.array || !la.is_uniform_with(sa) {
+                        continue;
+                    }
+                    let mut d: Option<i64> = None;
+                    let mut same_everywhere = true;
+                    let mut feasible = true;
+                    for (es, el) in sa.indices.iter().zip(&la.indices) {
+                        let k = es.constant_term() - el.constant_term();
+                        let c = el.coeff(p);
+                        if c == 0 {
+                            if k != 0 {
                                 feasible = false;
                                 break;
                             }
-                            _ => {}
-                        }
-                    }
-                }
-                if !feasible {
-                    continue;
-                }
-                let dist = if same_everywhere {
-                    if st.index() < ld.index() {
-                        0
-                    } else {
-                        1
-                    }
-                } else {
-                    d.unwrap_or(0)
-                };
-                match dist.cmp(&0) {
-                    std::cmp::Ordering::Greater => {
-                        dfg.add_edge_kind(st, ld, dist as u32, EdgeKind::Order);
-                    }
-                    std::cmp::Ordering::Equal => {
-                        if st.index() < ld.index() {
-                            dfg.add_edge_kind(st, ld, 0, EdgeKind::Order);
                         } else {
-                            dfg.add_edge_kind(ld, st, 0, EdgeKind::Order);
+                            same_everywhere = false;
+                            if k % c != 0 {
+                                feasible = false;
+                                break;
+                            }
+                            let this_d = k / c;
+                            match d {
+                                None => d = Some(this_d),
+                                Some(prev) if prev != this_d => {
+                                    feasible = false;
+                                    break;
+                                }
+                                _ => {}
+                            }
                         }
                     }
-                    std::cmp::Ordering::Less => {
-                        dfg.add_edge_kind(ld, st, (-dist) as u32, EdgeKind::Order);
+                    if !feasible {
+                        continue;
+                    }
+                    let dist = if same_everywhere {
+                        if st.index() < ld.index() {
+                            0
+                        } else {
+                            1
+                        }
+                    } else {
+                        d.unwrap_or(0)
+                    };
+                    match dist.cmp(&0) {
+                        std::cmp::Ordering::Greater => {
+                            edges.push((st, ld, dist as u32));
+                        }
+                        std::cmp::Ordering::Equal => {
+                            if st.index() < ld.index() {
+                                edges.push((st, ld, 0));
+                            } else {
+                                edges.push((ld, st, 0));
+                            }
+                        }
+                        std::cmp::Ordering::Less => {
+                            edges.push((ld, st, (-dist) as u32));
+                        }
                     }
                 }
+            }
+            for (src, dst, dist) in edges {
+                self.dfg.add_edge_kind(src, dst, dist, EdgeKind::Order);
             }
         }
     }
