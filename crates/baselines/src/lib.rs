@@ -260,7 +260,6 @@ impl Baseline for Am {
             realize_beam: 1,
             identity_guard: false,
             fallback: false,
-            eval_workers: 1,
         };
         PtMap::new(Box::new(AnalyticalPredictor), config).compile(program, arch)
     }

@@ -6,7 +6,6 @@
 //! scaled-down version. See DESIGN.md's experiment index.
 
 use ptmap_arch::{presets, CgraArch};
-use ptmap_core::PtMapConfig;
 use ptmap_eval::RankMode;
 use ptmap_gnn::dataset::{generate_dataset, DatasetConfig, Sample};
 use ptmap_gnn::model::{GnnVariant, ModelConfig, PtMapGnn};
@@ -148,10 +147,6 @@ pub fn ptmap_app_batch(
     let config = BatchConfig {
         workers: env_usize("PTMAP_JOBS", default_workers),
         cache_dir: Some(results_dir().join("ptmap-cache")),
-        base: PtMapConfig {
-            eval_workers: env_usize("PTMAP_EVAL_WORKERS", 1),
-            ..PtMapConfig::default()
-        },
         ..BatchConfig::default()
     };
     let batch = run_batch(&jobs, &config);

@@ -46,12 +46,11 @@ pub use report::{CompileReport, PnlRealization};
 
 use ptmap_arch::CgraArch;
 use ptmap_eval::{select_programs, EvalConfig, IiPredictor, ProgramChoice, RankMode};
-use ptmap_ir::dfg::build_dfg;
 use ptmap_ir::Program;
 use ptmap_mapper::MapperConfig;
 use ptmap_model::MemoryProfiler;
 use ptmap_sim::{simulate_pnl, EnergyModel};
-use ptmap_transform::ExploreConfig;
+use ptmap_transform::{ExploreConfig, ResultForest};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
@@ -104,24 +103,11 @@ impl fmt::Display for PtMapError {
 
 impl std::error::Error for PtMapError {}
 
-/// Narrows a [`ptmap_mapper::MapError`] to the budget/fault errors the
-/// pipeline must surface as-is; everything else (infeasible, unsupported
-/// op, …) is a per-candidate rejection the caller handles locally.
-fn map_error_to_pipeline(e: &ptmap_mapper::MapError) -> Option<PtMapError> {
-    match e {
-        ptmap_mapper::MapError::Timeout => Some(PtMapError::Timeout),
-        ptmap_mapper::MapError::Cancelled => Some(PtMapError::Cancelled),
-        ptmap_mapper::MapError::Fault(site) => Some(PtMapError::Fault(site.clone())),
-        _ => None,
-    }
-}
-
 /// Pipeline configuration.
 ///
-/// Serializes for content-addressed caching in `ptmap-pipeline`; every
-/// field that changes compilation *results* is part of the serialized
-/// form, while [`eval_workers`](PtMapConfig::eval_workers) (a pure
-/// throughput knob with bit-identical output) is skipped.
+/// Serializes for content-addressed caching in `ptmap-pipeline`: every
+/// field changes compilation results, so every field is part of the
+/// cache key.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PtMapConfig {
     /// Exploration knobs.
@@ -145,11 +131,6 @@ pub struct PtMapConfig {
     /// Fall back to the identity mapping when *no* ranked choice maps
     /// (disable to reproduce the paper's AM "fail" entries).
     pub fallback: bool,
-    /// Threads sharding the independent per-candidate evaluations
-    /// (`<= 1` = serial). Does not affect results, so it is excluded
-    /// from the cache-key serialization.
-    #[serde(skip)]
-    pub eval_workers: usize,
 }
 
 impl Default for PtMapConfig {
@@ -163,7 +144,6 @@ impl Default for PtMapConfig {
             realize_beam: 4,
             identity_guard: true,
             fallback: true,
-            eval_workers: 1,
         }
     }
 }
@@ -291,27 +271,21 @@ impl PtMap {
         let forest = forest?;
         let explored = forest.candidate_count();
         m.candidates_explored = explored;
-        // 2. Bottom-up evaluation + ranking (candidates are independent,
-        // so this stage shards across `eval_workers` threads).
+        // 2. Bottom-up evaluation + ranking.
         let t = Instant::now();
         let eval_span = tracer.span("evaluate");
-        let eval = ptmap_eval::evaluate_forest_sharded_budgeted(
+        let eval = ptmap_eval::evaluate_forest_budgeted(
             &forest,
             arch,
             self.predictor.as_ref(),
             &self.config.eval,
-            self.config.eval_workers,
             budget,
-        )
-        .map_err(|e| match e {
-            ptmap_eval::EvalError::Cancelled => PtMapError::Cancelled,
-            _ => PtMapError::Timeout,
-        });
+        );
         let eval = match eval {
             Ok(eval) => eval,
             Err(e) => {
                 m.evaluate_seconds += t.elapsed().as_secs_f64();
-                return Err(e);
+                return Err(e.into());
             }
         };
         let pruned: usize = eval
@@ -339,7 +313,7 @@ impl PtMap {
         for choice in &choices {
             attempts += 1;
             if let Some(report) = self.realize(
-                &eval, choice, arch, explored, pruned, attempts, t0, budget, m, tracer,
+                &forest, &eval, choice, arch, explored, pruned, attempts, t0, budget, m, tracer,
             )? {
                 realized += 1;
                 if best
@@ -428,6 +402,7 @@ impl PtMap {
     #[allow(clippy::too_many_arguments)]
     fn realize(
         &self,
+        forest: &ResultForest,
         eval: &ptmap_eval::EvaluatedForest,
         choice: &ProgramChoice,
         arch: &CgraArch,
@@ -440,42 +415,31 @@ impl PtMap {
         tracer: &ptmap_trace::Tracer,
     ) -> Result<Option<CompileReport>, PtMapError> {
         let variant = &eval.variants[choice.variant];
+        let candidates = &forest.variants[choice.variant].pnl_candidates;
         let mut pnls = Vec::new();
         let mut cycles = ptmap_eval::non_pnl_cycles(&variant.program);
         let mut energy = 0.0f64;
         for (pnl_idx, &sel) in choice.selection.iter().enumerate() {
             let e = &variant.rankings[pnl_idx].evaluated[sel];
-            let c = &e.candidate;
+            let c = &candidates[pnl_idx][sel];
             let t = Instant::now();
             let map_span = tracer.span("map");
             map_span.attr("attempt", attempts);
             map_span.attr("pnl", pnl_idx);
-            let mapped = match build_dfg(&c.program, &c.nest, &c.unroll) {
-                Ok(dfg) => {
-                    match ptmap_exact::map_with_backend(
-                        &dfg,
-                        arch,
-                        &self.config.mapper,
-                        budget,
-                        map_span.tracer(),
-                    ) {
-                        Ok(out) => Some((dfg, out)),
-                        Err(e) => {
-                            m.map_seconds += t.elapsed().as_secs_f64();
-                            if let Some(p) = map_error_to_pipeline(&e) {
-                                return Err(p);
-                            }
-                            None
-                        }
-                    }
-                }
-                Err(_) => None,
-            };
-            let Some((dfg, outcome)) = mapped else {
+            let mapped = crate::realize::map_pnl(
+                &c.program,
+                &c.nest,
+                &c.unroll,
+                arch,
+                &self.config.mapper,
+                budget,
+                map_span.tracer(),
+            );
+            m.map_seconds += t.elapsed().as_secs_f64();
+            let Some((dfg, outcome)) = mapped? else {
                 m.mapper_rejects += 1;
                 return Ok(None);
             };
-            m.map_seconds += t.elapsed().as_secs_f64();
             map_span.attr("ii", outcome.mapping.ii as u64);
             map_span.attr("backend", outcome.backend);
             map_span.attr("proven_optimal", outcome.proven_optimal);
@@ -490,7 +454,7 @@ impl PtMap {
             }
             m.exact_optimality_proofs += outcome.proven_optimal as usize;
             m.portfolio_cancellations += outcome.losers_cancelled as usize;
-            let mapping = outcome.mapping;
+            let mapping = &outcome.mapping;
             // map_dfg validates internally when enabled; an accepted
             // mapping was therefore also a validated one.
             if ptmap_mapper::validation_enabled(&self.config.mapper) {
@@ -500,8 +464,6 @@ impl PtMap {
             let sim_span = tracer.span("simulate");
             sim_span.attr("pnl", pnl_idx);
             let profile = MemoryProfiler::new(&c.program).profile(&c.nest, arch, mapping.ii);
-            // Simulate with effective (post-unroll) tripcounts.
-            let eff = c.effective_tripcounts();
             // Online-learning tap: report predicted vs actual for this
             // accepted mapping. Strictly observe-only (see `with_tap`).
             if let Some(tap) = &self.tap {
@@ -514,43 +476,23 @@ impl PtMap {
                         actual_ii: mapping.ii,
                         actual_pro_epi: mapping.pro_epi(),
                         mii: mapping.mii,
-                        tc: *eff.last().expect("nest"),
+                        tc: c.effective_pipelined_tc(),
                         backend: outcome.backend,
                         trace_id: tracer.trace_id().map(str::to_string),
                     },
                 );
             }
-            let launch_cycles = mapping.cycles(*eff.last().expect("nest"));
-            let launches: u64 =
-                eff[..eff.len() - 1].iter().product::<u64>() * c.nest.outer_tripcount();
-            let sim = simulate_pnl(&mapping, &dfg, &c.nest, &profile);
-            let _ = sim; // utilization is per-launch; totals use eff tripcounts
-            let transfer = profile
-                .total_volume()
-                .div_ceil(ptmap_sim::exec::OFFCHIP_BYTES_PER_CYCLE);
-            let compute = launch_cycles * launches;
-            let pnl_cycles = ptmap_sim::exec::overlap_cycles(compute, transfer);
-            let iterations = eff.iter().product::<u64>() * c.nest.outer_tripcount();
-            let e_pj = self
-                .config
-                .energy
-                .pnl_energy_with_iterations(&mapping, &dfg, iterations, &profile, pnl_cycles);
-            cycles += pnl_cycles;
-            energy += e_pj;
-            pnls.push(PnlRealization {
-                desc: c.desc.clone(),
-                ii: mapping.ii,
-                mii: mapping.mii,
-                pro_epi: mapping.pro_epi(),
-                predicted_ii: e.ii,
-                utilization: mapping.utilization(),
-                cycles: pnl_cycles,
-                volume: profile.total_volume(),
-                backend: outcome.backend.to_string(),
-                ii_opt: outcome.ii_opt,
-                heuristic_ii: outcome.heuristic_ii,
-                proven_optimal: outcome.proven_optimal,
-            });
+            let sim = simulate_pnl(
+                mapping,
+                &dfg,
+                &c.nest,
+                &c.unroll,
+                &profile,
+                &self.config.energy,
+            );
+            cycles += sim.cycles;
+            energy += sim.energy_pj;
+            pnls.push(PnlRealization::new(c.desc.clone(), e.ii, &outcome, &sim));
             m.simulate_seconds += t.elapsed().as_secs_f64();
             drop(sim_span);
         }
@@ -576,6 +518,7 @@ mod tests {
     use super::*;
     use ptmap_arch::presets;
     use ptmap_eval::AnalyticalPredictor;
+    use ptmap_ir::dfg::build_dfg;
     use ptmap_mapper::map_dfg;
     use ptmap_trace::Tracer;
 
@@ -670,22 +613,6 @@ mod tests {
         assert!(m.map_seconds > 0.0, "context generation must be timed");
         assert!(m.mapper_accepts > 0);
         assert!(m.staged_seconds() <= report.compile_seconds * 1.5 + 0.1);
-    }
-
-    #[test]
-    fn eval_workers_do_not_change_result() {
-        let p = ptmap_workloads::micro::gemm(32);
-        let arch = presets::s4();
-        let mk = |workers| {
-            let cfg = PtMapConfig {
-                eval_workers: workers,
-                ..quick_config()
-            };
-            PtMap::new(Box::new(AnalyticalPredictor), cfg)
-                .compile(&p, &arch)
-                .unwrap()
-        };
-        assert_eq!(mk(1).without_timing(), mk(4).without_timing());
     }
 
     #[test]

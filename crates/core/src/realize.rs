@@ -9,13 +9,39 @@ use crate::report::{CompileReport, PnlRealization};
 use crate::PtMapError;
 use ptmap_arch::CgraArch;
 use ptmap_eval::non_pnl_cycles;
+use ptmap_governor::Budget;
 use ptmap_ir::dfg::build_dfg;
-use ptmap_ir::{LoopId, Program};
-use ptmap_mapper::MapperConfig;
+use ptmap_ir::{Dfg, LoopId, PerfectNest, Program};
+use ptmap_mapper::{BackendOutcome, MapError, MapperConfig};
 use ptmap_model::MemoryProfiler;
-use ptmap_sim::exec::OFFCHIP_BYTES_PER_CYCLE;
-use ptmap_sim::EnergyModel;
+use ptmap_sim::{simulate_pnl, EnergyModel};
+use ptmap_trace::Tracer;
 use std::time::Instant;
+
+/// Builds one PNL's DFG with `unroll` and maps it with the configured
+/// back-end. `Ok(None)` when the PNL is rejected (the DFG does not
+/// build, or no mapping exists); budget and fault errors surface as
+/// they are, since they must end the whole compile.
+pub(crate) fn map_pnl(
+    program: &Program,
+    nest: &PerfectNest,
+    unroll: &[(LoopId, u32)],
+    arch: &CgraArch,
+    mapper: &MapperConfig,
+    budget: &Budget,
+    tracer: &Tracer,
+) -> Result<Option<(Dfg, BackendOutcome)>, PtMapError> {
+    let Ok(dfg) = build_dfg(program, nest, unroll) else {
+        return Ok(None);
+    };
+    match ptmap_exact::map_with_backend(&dfg, arch, mapper, budget, tracer) {
+        Ok(outcome) => Ok(Some((dfg, outcome))),
+        Err(MapError::Timeout) => Err(PtMapError::Timeout),
+        Err(MapError::Cancelled) => Err(PtMapError::Cancelled),
+        Err(MapError::Fault(site)) => Err(PtMapError::Fault(site)),
+        Err(_) => Ok(None),
+    }
+}
 
 /// Maps and simulates a program as-is: one mapping per PNL with the
 /// given per-PNL unroll vectors (aligned with `program.perfect_nests()`;
@@ -38,12 +64,12 @@ pub fn realize_program(
         mapper,
         energy_model,
         unroll_per_pnl,
-        &ptmap_governor::Budget::unlimited(),
+        &Budget::unlimited(),
     )
 }
 
-/// [`realize_program`] under a cooperative [`ptmap_governor::Budget`]
-/// (threaded into every `map_dfg` call).
+/// [`realize_program`] under a cooperative [`Budget`] (threaded into
+/// every mapper call).
 ///
 /// # Errors
 ///
@@ -56,7 +82,7 @@ pub fn realize_program_budgeted(
     mapper: &MapperConfig,
     energy_model: &EnergyModel,
     unroll_per_pnl: &[Vec<(LoopId, u32)>],
-    budget: &ptmap_governor::Budget,
+    budget: &Budget,
 ) -> Result<CompileReport, PtMapError> {
     let t0 = Instant::now();
     let nests = program.perfect_nests();
@@ -67,63 +93,32 @@ pub fn realize_program_budgeted(
     let mut cycles = non_pnl_cycles(program);
     let mut energy = 0.0f64;
     for (i, nest) in nests.iter().enumerate() {
-        let unroll = unroll_per_pnl.get(i).cloned().unwrap_or_default();
-        let dfg = build_dfg(program, nest, &unroll).map_err(|_| PtMapError::NothingMappable)?;
-        let outcome = ptmap_exact::map_with_backend(
-            &dfg,
+        let unroll = unroll_per_pnl.get(i).map_or(&[][..], Vec::as_slice);
+        let (dfg, outcome) = map_pnl(
+            program,
+            nest,
+            unroll,
             arch,
             mapper,
             budget,
-            &ptmap_trace::Tracer::disabled(),
-        )
-        .map_err(|e| match e {
-            ptmap_mapper::MapError::Timeout => PtMapError::Timeout,
-            ptmap_mapper::MapError::Cancelled => PtMapError::Cancelled,
-            ptmap_mapper::MapError::Fault(site) => PtMapError::Fault(site),
-            _ => PtMapError::NothingMappable,
-        })?;
-        let mapping = outcome.mapping;
-        let profile = MemoryProfiler::new(program).profile(nest, arch, mapping.ii);
-        let eff: Vec<u64> = nest
-            .loops
-            .iter()
-            .zip(&nest.tripcounts)
-            .map(|(&l, &tc)| {
-                let f = unroll
-                    .iter()
-                    .find(|&&(ul, _)| ul == l)
-                    .map(|&(_, f)| f as u64)
-                    .unwrap_or(1);
-                tc.div_ceil(f)
-            })
-            .collect();
-        let launch_cycles = mapping.cycles(*eff.last().expect("nest non-empty"));
-        let launches: u64 = eff[..eff.len() - 1].iter().product::<u64>() * nest.outer_tripcount();
-        let compute = launch_cycles * launches;
-        let transfer = profile.total_volume().div_ceil(OFFCHIP_BYTES_PER_CYCLE);
-        let pnl_cycles = ptmap_sim::exec::overlap_cycles(compute, transfer);
-        let iterations = eff.iter().product::<u64>() * nest.outer_tripcount();
-        energy += energy_model
-            .pnl_energy_with_iterations(&mapping, &dfg, iterations, &profile, pnl_cycles);
-        cycles += pnl_cycles;
-        pnls.push(PnlRealization {
-            desc: if unroll.is_empty() {
-                "as-is".to_string()
-            } else {
-                format!("unroll{unroll:?}")
-            },
-            ii: mapping.ii,
-            mii: mapping.mii,
-            pro_epi: mapping.pro_epi(),
-            predicted_ii: mapping.ii,
-            utilization: mapping.utilization(),
-            cycles: pnl_cycles,
-            volume: profile.total_volume(),
-            backend: outcome.backend.to_string(),
-            ii_opt: outcome.ii_opt,
-            heuristic_ii: outcome.heuristic_ii,
-            proven_optimal: outcome.proven_optimal,
-        });
+            &Tracer::disabled(),
+        )?
+        .ok_or(PtMapError::NothingMappable)?;
+        let profile = MemoryProfiler::new(program).profile(nest, arch, outcome.mapping.ii);
+        let sim = simulate_pnl(&outcome.mapping, &dfg, nest, unroll, &profile, energy_model);
+        cycles += sim.cycles;
+        energy += sim.energy_pj;
+        let desc = if unroll.is_empty() {
+            "as-is".to_string()
+        } else {
+            format!("unroll{unroll:?}")
+        };
+        pnls.push(PnlRealization::new(
+            desc,
+            outcome.mapping.ii,
+            &outcome,
+            &sim,
+        ));
     }
     let edp = energy_model.edp(energy, cycles);
     Ok(CompileReport {
@@ -188,6 +183,44 @@ mod tests {
             unrolled.cycles,
             base.cycles
         );
+    }
+
+    #[test]
+    fn unrolled_realization_is_the_simulators_answer() {
+        // The report's per-PNL cycles and its energy are exactly what
+        // the simulator computes for the same mapping and unroll vector.
+        let p = ptmap_workloads::micro::gemm(24);
+        let arch = presets::sl8();
+        let nest = p.perfect_nests().remove(0);
+        let unroll = vec![(nest.loops[0], 4), (nest.loops[1], 2)];
+        let energy = EnergyModel::default();
+        let report = realize_program(
+            &p,
+            &arch,
+            &MapperConfig::default(),
+            &energy,
+            std::slice::from_ref(&unroll),
+        )
+        .unwrap();
+        let dfg = build_dfg(&p, &nest, &unroll).unwrap();
+        let outcome = ptmap_exact::map_with_backend(
+            &dfg,
+            &arch,
+            &MapperConfig::default(),
+            &Budget::unlimited(),
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        let profile = MemoryProfiler::new(&p).profile(&nest, &arch, outcome.mapping.ii);
+        let sim = simulate_pnl(&outcome.mapping, &dfg, &nest, &unroll, &profile, &energy);
+        assert_eq!(report.pnls[0].ii, outcome.mapping.ii);
+        assert_eq!(report.pnls[0].cycles, sim.cycles);
+        assert_eq!(report.cycles, sim.cycles, "gemm has no non-PNL statements");
+        assert_eq!(report.energy_pj.to_bits(), sim.energy_pj.to_bits());
+        // The unrolled body runs fewer pipelined iterations than the
+        // nest's own tripcounts would launch.
+        let as_is = simulate_pnl(&outcome.mapping, &dfg, &nest, &[], &profile, &energy);
+        assert!(sim.cycles < as_is.cycles);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Compilation reports.
 
 use ptmap_eval::RankMode;
+use ptmap_mapper::BackendOutcome;
+use ptmap_sim::PnlSim;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -43,6 +45,33 @@ pub struct PnlRealization {
     /// found by the exact backend becomes the mapping itself).
     #[serde(default)]
     pub proven_optimal: bool,
+}
+
+impl PnlRealization {
+    /// The report entry of one mapped PNL, from its back-end outcome
+    /// and its simulation.
+    pub(crate) fn new(
+        desc: String,
+        predicted_ii: u32,
+        outcome: &BackendOutcome,
+        sim: &PnlSim,
+    ) -> Self {
+        let mapping = &outcome.mapping;
+        PnlRealization {
+            desc,
+            ii: mapping.ii,
+            mii: mapping.mii,
+            pro_epi: mapping.pro_epi(),
+            predicted_ii,
+            utilization: sim.utilization,
+            cycles: sim.cycles,
+            volume: sim.volume_bytes + sim.context_bytes,
+            backend: outcome.backend.to_string(),
+            ii_opt: outcome.ii_opt,
+            heuristic_ii: outcome.heuristic_ii,
+            proven_optimal: outcome.proven_optimal,
+        }
+    }
 }
 
 /// The result of a full PT-Map compilation.

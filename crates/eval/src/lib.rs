@@ -15,17 +15,15 @@
 //!    per-PNL top-K selections combine into program-level choices via
 //!    Eqn. 5.
 
-pub mod error;
 pub mod pnl;
 pub mod predictor;
 pub mod program;
 pub mod rank;
 pub mod tap;
 
-pub use error::EvalError;
 pub use pnl::{
-    evaluate_candidate, evaluate_forest, evaluate_forest_sharded_budgeted, EvaluatedCandidate,
-    PnlRanking, PruneReason,
+    evaluate_candidate, evaluate_forest, evaluate_forest_budgeted, EvaluatedCandidate, PnlRanking,
+    PruneReason,
 };
 pub use predictor::{AnalyticalPredictor, GnnPredictor, IiPredictor, OraclePredictor};
 pub use program::{non_pnl_cycles, select_programs, EvaluatedForest, ProgramChoice};

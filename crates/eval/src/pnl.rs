@@ -1,9 +1,11 @@
 //! PNL-level evaluation: prediction, profiling, pruning, ranking.
 
 use crate::predictor::IiPredictor;
+use crate::program::{EvaluatedForest, EvaluatedVariant};
 use crate::rank::{rank_pareto, rank_performance};
 use crate::EvalConfig;
 use ptmap_arch::CgraArch;
+use ptmap_governor::{Budget, BudgetExceeded};
 use ptmap_ir::dfg::build_dfg;
 use ptmap_model::{pnl_cycles, pnl_total_cycles, MemoryProfiler};
 use ptmap_transform::{PnlCandidate, ResultForest};
@@ -28,11 +30,12 @@ pub enum PruneReason {
     Malformed,
 }
 
-/// A profiled candidate.
+/// A profiled candidate. It sits at the candidate's own index in
+/// [`PnlRanking::evaluated`], which follows the exploration order of
+/// the PNL's result array, so the candidate itself is read from the
+/// forest.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EvaluatedCandidate {
-    /// The candidate itself.
-    pub candidate: PnlCandidate,
     /// Predicted computation cycles for the whole PNL (Eqn. 2).
     pub cycles: u64,
     /// Estimated off-CGRA volume in bytes (data + contexts).
@@ -69,7 +72,6 @@ pub fn evaluate_candidate(
         Ok(d) if !d.is_empty() => d,
         _ => {
             return EvaluatedCandidate {
-                candidate: candidate.clone(),
                 cycles: u64::MAX,
                 volume: u64::MAX,
                 ii: 0,
@@ -104,7 +106,6 @@ pub fn evaluate_candidate(
     }
 
     EvaluatedCandidate {
-        candidate: candidate.clone(),
         cycles,
         volume: profile.total_volume(),
         ii,
@@ -114,74 +115,7 @@ pub fn evaluate_candidate(
     }
 }
 
-/// Profiles and ranks every candidate of one PNL's result array.
-fn evaluate_result_array(
-    candidates: &[PnlCandidate],
-    arch: &CgraArch,
-    predictor: &dyn IiPredictor,
-    config: &EvalConfig,
-) -> PnlRanking {
-    let evaluated: Vec<EvaluatedCandidate> = candidates
-        .iter()
-        .map(|c| evaluate_candidate(c, arch, predictor))
-        .collect();
-    rank_evaluated(evaluated, config)
-}
-
-/// Like [`evaluate_result_array`] but shards candidate profiling across
-/// `workers` scoped threads under a cooperative
-/// [`ptmap_governor::Budget`]. Candidates are independent, so the merged
-/// (exploration-ordered) result is bit-identical to the serial path —
-/// batch compilations lean on this for within-job parallelism. Every
-/// shard checks the budget per candidate and stops early when it runs
-/// out, so a deadline interrupts profiling within one candidate's
-/// latency instead of one PNL's.
-///
-/// # Errors
-///
-/// [`crate::EvalError::Timeout`] / [`crate::EvalError::Cancelled`] when
-/// the budget runs out mid-evaluation.
-fn evaluate_result_array_sharded_budgeted(
-    candidates: &[PnlCandidate],
-    arch: &CgraArch,
-    predictor: &(dyn IiPredictor + Sync),
-    config: &EvalConfig,
-    workers: usize,
-    budget: &ptmap_governor::Budget,
-) -> Result<PnlRanking, crate::EvalError> {
-    if workers <= 1 || candidates.len() < 2 {
-        let mut evaluated: Vec<EvaluatedCandidate> = Vec::with_capacity(candidates.len());
-        for c in candidates {
-            budget.check()?;
-            evaluated.push(evaluate_candidate(c, arch, predictor));
-        }
-        return Ok(rank_evaluated(evaluated, config));
-    }
-    let chunk = candidates.len().div_ceil(workers.min(candidates.len()));
-    let mut evaluated: Vec<Option<EvaluatedCandidate>> = vec![None; candidates.len()];
-    std::thread::scope(|s| {
-        for (out, work) in evaluated.chunks_mut(chunk).zip(candidates.chunks(chunk)) {
-            s.spawn(move || {
-                for (slot, c) in out.iter_mut().zip(work) {
-                    // Early-out leaves the slot `None`; the caller sees
-                    // the budget failure before ever unwrapping slots.
-                    if budget.check().is_err() {
-                        return;
-                    }
-                    *slot = Some(evaluate_candidate(c, arch, predictor));
-                }
-            });
-        }
-    });
-    budget.check()?;
-    let evaluated: Vec<EvaluatedCandidate> = evaluated
-        .into_iter()
-        .map(|e| e.expect("shard filled"))
-        .collect();
-    Ok(rank_evaluated(evaluated, config))
-}
-
-/// Ranking stage shared by the serial and sharded paths.
+/// Ranks one PNL's profiled candidates, pruned ones excluded.
 fn rank_evaluated(evaluated: Vec<EvaluatedCandidate>, config: &EvalConfig) -> PnlRanking {
     let survivors: Vec<usize> = (0..evaluated.len())
         .filter(|&i| evaluated[i].pruned.is_none())
@@ -213,59 +147,45 @@ pub fn evaluate_forest(
     arch: &CgraArch,
     predictor: &dyn IiPredictor,
     config: &EvalConfig,
-) -> crate::program::EvaluatedForest {
-    let variants = forest
-        .variants
-        .iter()
-        .map(|v| {
-            let rankings: Vec<PnlRanking> = v
-                .pnl_candidates
-                .iter()
-                .map(|ra| evaluate_result_array(ra, arch, predictor, config))
-                .collect();
-            crate::program::EvaluatedVariant {
-                program: v.program.clone(),
-                fusion: v.fusion,
-                rankings,
-            }
-        })
-        .collect();
-    crate::program::EvaluatedForest { variants }
+) -> EvaluatedForest {
+    evaluate_forest_budgeted(forest, arch, predictor, config, &Budget::unlimited())
+        .expect("an unlimited budget never runs out")
 }
 
-/// Profiles a whole result forest with candidate evaluation sharded
-/// across `workers` threads under a cooperative
-/// [`ptmap_governor::Budget`]. `workers <= 1` degenerates to the serial
-/// path, and any worker count gives the same result as
-/// [`evaluate_forest`].
+/// [`evaluate_forest`] under a cooperative [`Budget`], checked before
+/// each candidate so a deadline interrupts profiling within one
+/// candidate's latency. Candidates are profiled in exploration order,
+/// one predictor call each.
 ///
 /// # Errors
 ///
-/// [`crate::EvalError::Timeout`] / [`crate::EvalError::Cancelled`] when
-/// the budget runs out mid-evaluation.
-pub fn evaluate_forest_sharded_budgeted(
+/// The [`BudgetExceeded`] class when the budget runs out
+/// mid-evaluation.
+pub fn evaluate_forest_budgeted(
     forest: &ResultForest,
     arch: &CgraArch,
-    predictor: &(dyn IiPredictor + Sync),
+    predictor: &dyn IiPredictor,
     config: &EvalConfig,
-    workers: usize,
-    budget: &ptmap_governor::Budget,
-) -> Result<crate::program::EvaluatedForest, crate::EvalError> {
+    budget: &Budget,
+) -> Result<EvaluatedForest, BudgetExceeded> {
     let mut variants = Vec::with_capacity(forest.variants.len());
     for v in &forest.variants {
-        let mut rankings: Vec<PnlRanking> = Vec::with_capacity(v.pnl_candidates.len());
-        for ra in &v.pnl_candidates {
-            rankings.push(evaluate_result_array_sharded_budgeted(
-                ra, arch, predictor, config, workers, budget,
-            )?);
+        let mut rankings = Vec::with_capacity(v.pnl_candidates.len());
+        for candidates in &v.pnl_candidates {
+            let mut evaluated = Vec::with_capacity(candidates.len());
+            for c in candidates {
+                budget.check()?;
+                evaluated.push(evaluate_candidate(c, arch, predictor));
+            }
+            rankings.push(rank_evaluated(evaluated, config));
         }
-        variants.push(crate::program::EvaluatedVariant {
+        variants.push(EvaluatedVariant {
             program: v.program.clone(),
             fusion: v.fusion,
             rankings,
         });
     }
-    Ok(crate::program::EvaluatedForest { variants })
+    Ok(EvaluatedForest { variants })
 }
 
 #[cfg(test)]
@@ -276,24 +196,28 @@ mod tests {
     use ptmap_transform::{explore, ExploreConfig};
     use ptmap_workloads::micro;
 
+    /// The ranking of the first PNL of the first variant.
+    fn first_ranking(
+        forest: &ResultForest,
+        arch: &CgraArch,
+        predictor: &dyn IiPredictor,
+        config: &EvalConfig,
+    ) -> PnlRanking {
+        evaluate_forest(forest, arch, predictor, config).variants[0].rankings[0].clone()
+    }
+
     #[test]
     fn gemm_candidates_rank_and_prune() {
         let p = micro::gemm(64);
         let forest = explore(&p, &ExploreConfig::default());
         let arch = presets::s4();
-        let ranking = evaluate_result_array(
-            &forest.variants[0].pnl_candidates[0],
-            &arch,
-            &AnalyticalPredictor,
-            &EvalConfig::default(),
-        );
+        let ranking = first_ranking(&forest, &arch, &AnalyticalPredictor, &EvalConfig::default());
         assert!(!ranking.performance.is_empty());
         assert!(ranking.performance.len() <= 20);
         // Best performance candidate strictly beats the identity.
-        let identity = ranking
-            .evaluated
+        let identity = forest.variants[0].pnl_candidates[0]
             .iter()
-            .position(|e| e.candidate.unroll.is_empty() && e.candidate.nest.depth() == 3)
+            .position(|c| c.unroll.is_empty() && c.nest.depth() == 3)
             .expect("identity candidate present");
         let best = ranking.performance[0];
         assert!(
@@ -310,8 +234,8 @@ mod tests {
         let p = micro::gemm(64);
         let forest = explore(&p, &ExploreConfig::default());
         let arch = presets::r4();
-        let ranking = evaluate_result_array(
-            &forest.variants[0].pnl_candidates[0],
+        let ranking = first_ranking(
+            &forest,
             &arch,
             &crate::predictor::OraclePredictor::default(),
             &EvalConfig::default(),
@@ -328,44 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_serial() {
-        let p = micro::gemm(48);
-        let forest = explore(&p, &ExploreConfig::default());
-        let arch = presets::s4();
-        let cfg = EvalConfig::default();
-        let serial = evaluate_result_array(
-            &forest.variants[0].pnl_candidates[0],
-            &arch,
-            &AnalyticalPredictor,
-            &cfg,
-        );
-        for workers in [2, 3, 8, 64] {
-            let sharded = evaluate_result_array_sharded_budgeted(
-                &forest.variants[0].pnl_candidates[0],
-                &arch,
-                &AnalyticalPredictor,
-                &cfg,
-                workers,
-                &ptmap_governor::Budget::unlimited(),
-            )
-            .unwrap();
-            assert_eq!(serial.performance, sharded.performance, "workers={workers}");
-            assert_eq!(serial.pareto, sharded.pareto, "workers={workers}");
-            assert_eq!(serial.evaluated.len(), sharded.evaluated.len());
-            for (a, b) in serial.evaluated.iter().zip(&sharded.evaluated) {
-                assert_eq!(a.cycles, b.cycles);
-                assert_eq!(a.ii, b.ii);
-                assert_eq!(a.pruned, b.pruned);
-            }
-        }
-    }
-
-    #[test]
     fn rankings_exclude_pruned() {
         let p = micro::gemm(64);
         let forest = explore(&p, &ExploreConfig::quick());
-        let ranking = evaluate_result_array(
-            &forest.variants[0].pnl_candidates[0],
+        let ranking = first_ranking(
+            &forest,
             &presets::s4(),
             &AnalyticalPredictor,
             &EvalConfig {
@@ -378,75 +269,62 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_budget_stops_evaluation_serial_and_sharded() {
+    fn cancelled_budget_stops_evaluation() {
         let p = micro::gemm(48);
         let forest = explore(&p, &ExploreConfig::quick());
-        let candidates = &forest.variants[0].pnl_candidates[0];
-        let budget = ptmap_governor::Budget::cancellable();
+        let budget = Budget::cancellable();
         budget.cancel();
-        for workers in [1, 4] {
-            let r = evaluate_result_array_sharded_budgeted(
-                candidates,
-                &presets::s4(),
-                &AnalyticalPredictor,
-                &EvalConfig::default(),
-                workers,
-                &budget,
-            );
-            assert_eq!(
-                r.err(),
-                Some(crate::EvalError::Cancelled),
-                "workers={workers}"
-            );
-        }
+        let r = evaluate_forest_budgeted(
+            &forest,
+            &presets::s4(),
+            &AnalyticalPredictor,
+            &EvalConfig::default(),
+            &budget,
+        );
+        assert_eq!(r.err(), Some(BudgetExceeded::Cancelled));
     }
 
     #[test]
     fn expired_deadline_times_out_evaluation() {
         let p = micro::gemm(48);
         let forest = explore(&p, &ExploreConfig::quick());
-        let candidates = &forest.variants[0].pnl_candidates[0];
-        let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::ZERO);
-        for workers in [1, 4] {
-            let r = evaluate_result_array_sharded_budgeted(
-                candidates,
-                &presets::s4(),
-                &AnalyticalPredictor,
-                &EvalConfig::default(),
-                workers,
-                &budget,
-            );
-            assert_eq!(
-                r.err(),
-                Some(crate::EvalError::Timeout),
-                "workers={workers}"
-            );
-        }
+        let budget = Budget::with_deadline(std::time::Duration::ZERO);
+        let r = evaluate_forest_budgeted(
+            &forest,
+            &presets::s4(),
+            &AnalyticalPredictor,
+            &EvalConfig::default(),
+            &budget,
+        );
+        assert_eq!(r.err(), Some(BudgetExceeded::Timeout));
     }
 
     #[test]
     fn generous_budget_matches_unbudgeted_ranking() {
         let p = micro::gemm(48);
         let forest = explore(&p, &ExploreConfig::quick());
-        let candidates = &forest.variants[0].pnl_candidates[0];
-        let free = evaluate_result_array(
-            candidates,
+        let free = evaluate_forest(
+            &forest,
             &presets::s4(),
             &AnalyticalPredictor,
             &EvalConfig::default(),
         );
-        let budget = ptmap_governor::Budget::with_deadline(std::time::Duration::from_secs(3600));
-        let timed = evaluate_result_array_sharded_budgeted(
-            candidates,
+        let budget = Budget::with_deadline(std::time::Duration::from_secs(3600));
+        let timed = evaluate_forest_budgeted(
+            &forest,
             &presets::s4(),
             &AnalyticalPredictor,
             &EvalConfig::default(),
-            4,
             &budget,
         )
         .unwrap();
-        assert_eq!(free.performance, timed.performance);
-        assert_eq!(free.pareto, timed.pareto);
-        assert_eq!(free.evaluated.len(), timed.evaluated.len());
+        assert_eq!(free.variants.len(), timed.variants.len());
+        for (f, t) in free.variants.iter().zip(&timed.variants) {
+            for (a, b) in f.rankings.iter().zip(&t.rankings) {
+                assert_eq!(a.performance, b.performance);
+                assert_eq!(a.pareto, b.pareto);
+                assert_eq!(a.evaluated.len(), b.evaluated.len());
+            }
+        }
     }
 }

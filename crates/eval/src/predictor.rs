@@ -32,8 +32,8 @@ pub trait IiPredictor {
 /// same shape, so the predictor also memoizes its answer per
 /// architecture and [`SwKey`]: a repeated shape returns the stored
 /// answer without building an input or running the forward pass. Both
-/// caches live on the instance (shared by the threads that shard a
-/// job's candidates, and by clones) and are dropped with it;
+/// caches live on the instance (shared by concurrent callers and by
+/// clones) and are dropped with it;
 /// `PredictorSpec::instantiate` creates one instance per compile.
 #[derive(Debug, Clone)]
 pub struct GnnPredictor {

@@ -31,7 +31,9 @@ pub struct EvaluatedForest {
 pub struct ProgramChoice {
     /// Index of the variant in the forest.
     pub variant: usize,
-    /// Chosen candidate index (into `rankings[i].evaluated`) per PNL.
+    /// Chosen candidate index per PNL: into `rankings[i].evaluated`,
+    /// and equally into the explored forest's
+    /// `variants[variant].pnl_candidates[i]`.
     pub selection: Vec<usize>,
     /// Program-level cycles (Eqn. 5 plus non-PNL statement cycles).
     pub cycles: u64,

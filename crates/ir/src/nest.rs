@@ -85,6 +85,23 @@ impl PerfectNest {
         self.tripcounts.iter().product::<u64>() * self.outer_tripcount()
     }
 
+    /// Tripcounts of the nest loops after unrolling by `unroll`'s
+    /// `(loop, factor)` pairs: `ceil(tc / factor)` per loop, `tc` for a
+    /// loop that is not unrolled.
+    pub fn effective_tripcounts(&self, unroll: &[(LoopId, u32)]) -> Vec<u64> {
+        self.loops
+            .iter()
+            .zip(&self.tripcounts)
+            .map(|(&l, &tc)| {
+                let f = unroll
+                    .iter()
+                    .find(|&&(ul, _)| ul == l)
+                    .map_or(1, |&(_, f)| f);
+                tc.div_ceil(f as u64)
+            })
+            .collect()
+    }
+
     /// Depth of the nest.
     pub fn depth(&self) -> usize {
         self.loops.len()
@@ -121,6 +138,16 @@ mod tests {
         assert_eq!(n.folded_tripcount(), 20);
         assert_eq!(n.total_iterations(), 120);
         assert_eq!(n.depth(), 3);
+    }
+
+    #[test]
+    fn effective_tripcounts_round_up() {
+        let n = nest3();
+        assert_eq!(n.effective_tripcounts(&[]), vec![4, 5, 6]);
+        assert_eq!(
+            n.effective_tripcounts(&[(n.loops[1], 2), (n.loops[2], 4)]),
+            vec![4, 3, 2]
+        );
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! The cache key is the hex SHA-256 of the canonical JSON of everything
 //! that determines a compilation's result: the program IR, the
 //! architecture description, the predictor identity (for the GNN, a
-//! hash of the full parameter checkpoint), the ranking mode, and the
-//! result-affecting [`PtMapConfig`] fields (throughput knobs such as
-//! `eval_workers` are `#[serde(skip)]`ed out of the config's
-//! serialization and therefore out of the key). Canonicalization sorts
+//! hash of the full parameter checkpoint), the ranking mode, and every
+//! [`PtMapConfig`] field, each of which affects the result.
+//! Canonicalization sorts
 //! every object recursively, so key equality is structural, not
 //! insertion-ordered.
 //!
@@ -280,20 +279,6 @@ mod tests {
             ..job("gemm:24", "S4")
         };
         assert_ne!(a, cache_key(&oracle, &base), "predictor changes key");
-    }
-
-    #[test]
-    fn eval_workers_do_not_change_key() {
-        let j = job("gemm:24", "S4");
-        let serial = PtMapConfig {
-            eval_workers: 1,
-            ..PtMapConfig::default()
-        };
-        let wide = PtMapConfig {
-            eval_workers: 8,
-            ..PtMapConfig::default()
-        };
-        assert_eq!(cache_key(&j, &serial), cache_key(&j, &wide));
     }
 
     #[test]

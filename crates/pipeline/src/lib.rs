@@ -7,9 +7,8 @@
 //! * [`manifest`] — a JSON job manifest with kernel / architecture /
 //!   predictor references, resolved to concrete [`Job`]s;
 //! * [`scheduler`] — a `std::thread::scope` worker pool over channels
-//!   with per-job panic isolation, deterministic (manifest-ordered)
-//!   output, and within-job sharding of candidate evaluation via
-//!   `PtMapConfig::eval_workers`;
+//!   with per-job panic isolation and deterministic (manifest-ordered)
+//!   output;
 //! * [`cache`] — a content-addressed report cache (SHA-256 over the
 //!   canonical JSON of program + architecture + predictor + config)
 //!   with an optional on-disk store that persists across runs;

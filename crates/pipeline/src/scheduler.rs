@@ -45,8 +45,7 @@ pub struct BatchConfig {
     /// only).
     pub cache_dir: Option<PathBuf>,
     /// Base compiler configuration; each job overrides the ranking
-    /// mode. `base.eval_workers` controls within-job sharding of the
-    /// candidate evaluations.
+    /// mode.
     pub base: PtMapConfig,
     /// Per-attempt compilation timeout (`None` = unlimited). Checked
     /// cooperatively inside every pipeline stage.

@@ -3,7 +3,7 @@
 //! ```text
 //! ptmap compile --source kernel.c --arch S4 [--mode pareto]
 //!               [--predictor analytical|oracle] [--emit-contexts]
-//! ptmap batch   --manifest jobs.json [--jobs N] [--eval-workers N]
+//! ptmap batch   --manifest jobs.json [--jobs N]
 //!               [--backend {heuristic|exact|portfolio}]
 //!               [--cache-dir DIR] [--metrics out.json] [--out out.json]
 //!               [--trace-dir DIR [--trace-sample P] [--trace-slow-ms MS]]
@@ -95,7 +95,7 @@ fn usage_text() -> &'static str {
      \x20         [--arch-file custom.json]\n\
      \x20         [--mode {performance|pareto}]\n\
      \x20         [--predictor {analytical|oracle}] [--emit-contexts]\n\
-     \x20 batch   --manifest jobs.json [--jobs N] [--eval-workers N]\n\
+     \x20 batch   --manifest jobs.json [--jobs N]\n\
      \x20         [--backend {heuristic|exact|portfolio}]\n\
      \x20         [--cache-dir DIR] [--metrics out.json] [--out out.json]\n\
      \x20         [--validate] [--deadline SECS] [--job-timeout SECS]\n\
@@ -281,7 +281,6 @@ fn batch(args: &[String]) -> ExitCode {
         &[
             "--manifest",
             "--jobs",
-            "--eval-workers",
             "--backend",
             "--cache-dir",
             "--metrics",
@@ -310,11 +309,7 @@ fn batch(args: &[String]) -> ExitCode {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let jobs = Manifest::from_json(&text)?.resolve()?;
         let workers = parse_count(flags.get("--jobs"), "--jobs", 1)?;
-        let eval_workers = parse_count(flags.get("--eval-workers"), "--eval-workers", 1)?;
-        let mut base = PtMapConfig {
-            eval_workers,
-            ..PtMapConfig::default()
-        };
+        let mut base = PtMapConfig::default();
         // Run the mapping invariant validator on every accepted mapping.
         // Part of the cache key, so validated and unvalidated runs do
         // not share entries.

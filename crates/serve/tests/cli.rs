@@ -149,13 +149,15 @@ fn unrecognized_flag_is_usage_error() {
         assert!(err.contains("usage:"), "{err}");
     }
     // A removed flag is as unrecognized as an invented one.
-    let out = ptmap()
-        .args(["batch", "--manifest", "does-not-matter.json"])
-        .args(["--speculate", "auto"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2), "batch --speculate must exit 2");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    for (removed, value) in [("--speculate", "auto"), ("--eval-workers", "2")] {
+        let out = ptmap()
+            .args(["batch", "--manifest", "does-not-matter.json"])
+            .args([removed, value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "batch {removed} must exit 2");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    }
 }
 
 #[test]

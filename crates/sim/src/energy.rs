@@ -7,7 +7,7 @@
 //! costlier per word than a PE operation, which is what makes the
 //! data-access-aware Pareto mode of PT-Map pay off.
 
-use ptmap_ir::{Dfg, OpClass, OpKind, PerfectNest};
+use ptmap_ir::{Dfg, OpClass, OpKind};
 use ptmap_mapper::Mapping;
 use ptmap_model::MemoryProfile;
 use serde::{Deserialize, Serialize};
@@ -69,22 +69,10 @@ impl EnergyModel {
         }
     }
 
-    /// Total energy (pJ) of executing a mapped PNL for its full
-    /// iteration space, given the already-simulated cycle count.
-    pub fn pnl_energy(
-        &self,
-        mapping: &Mapping,
-        dfg: &Dfg,
-        nest: &PerfectNest,
-        profile: &MemoryProfile,
-        cycles: u64,
-    ) -> f64 {
-        self.pnl_energy_with_iterations(mapping, dfg, nest.total_iterations(), profile, cycles)
-    }
-
-    /// Like [`pnl_energy`](Self::pnl_energy) with an explicit iteration
-    /// count of the (possibly unrolled) pipelined body — unrolled bodies
-    /// execute fewer, larger iterations.
+    /// Total energy (pJ) of executing a mapped PNL's body `iterations`
+    /// times in the given simulated cycle count. Unrolled bodies execute
+    /// fewer, larger iterations; [`crate::simulate_pnl`] passes the
+    /// effective (post-unroll) count.
     pub fn pnl_energy_with_iterations(
         &self,
         mapping: &Mapping,
@@ -143,10 +131,22 @@ mod tests {
         let prof = MemoryProfiler::new(&p).profile(&nest, &arch, mapping.ii);
         let model = EnergyModel::default();
         let cycles = mapping.cycles(256);
-        let e1 = model.pnl_energy(&mapping, &dfg, &nest, &prof, cycles);
+        let e1 = model.pnl_energy_with_iterations(
+            &mapping,
+            &dfg,
+            nest.total_iterations(),
+            &prof,
+            cycles,
+        );
         let mut thrash = prof;
         thrash.volume_bytes *= 10;
-        let e2 = model.pnl_energy(&mapping, &dfg, &nest, &thrash, cycles);
+        let e2 = model.pnl_energy_with_iterations(
+            &mapping,
+            &dfg,
+            nest.total_iterations(),
+            &thrash,
+            cycles,
+        );
         assert!(e2 > e1 * 1.5, "e2 {e2} vs e1 {e1}");
     }
 

@@ -1,6 +1,7 @@
 //! Cycle-level execution of a mapped PNL.
 
-use ptmap_ir::{Dfg, PerfectNest};
+use crate::energy::EnergyModel;
+use ptmap_ir::{Dfg, LoopId, PerfectNest};
 use ptmap_mapper::Mapping;
 use ptmap_model::MemoryProfile;
 use serde::{Deserialize, Serialize};
@@ -23,6 +24,8 @@ pub struct PnlSim {
     pub cycles: u64,
     /// Cycles lost to off-CGRA data transfers not hidden by compute.
     pub stall_cycles: u64,
+    /// Total energy (pJ) of the PNL's full iteration space.
+    pub energy_pj: f64,
     /// Fraction of PE compute slots busy in the steady state.
     pub utilization: f64,
     /// Off-CGRA data volume in bytes (from the memory profile).
@@ -31,27 +34,41 @@ pub struct PnlSim {
     pub context_bytes: u64,
 }
 
-/// Simulates one PNL: the pipelined loop runs `TC_l` iterations per
-/// launch, once per iteration of the folded and imperfect-outer loops
-/// (Eqn. 1–2), plus a stall term for off-CGRA traffic exceeding what the
-/// pipeline can hide.
+/// Simulates one PNL whose DFG was built with the unroll vector
+/// `unroll` (empty for none): the pipelined loop runs its effective
+/// (post-unroll) `TC_l` iterations per launch, once per effective
+/// iteration of the folded and imperfect-outer loops (Eqn. 1–2), plus a
+/// stall term for off-CGRA traffic exceeding what the pipeline can
+/// hide. Energy is priced by `energy` over the same iterations and
+/// cycles.
 pub fn simulate_pnl(
     mapping: &Mapping,
     dfg: &Dfg,
     nest: &PerfectNest,
+    unroll: &[(LoopId, u32)],
     profile: &MemoryProfile,
+    energy: &EnergyModel,
 ) -> PnlSim {
     debug_assert!(
         verify_mapping(dfg, mapping).is_ok(),
         "mapping must be valid"
     );
-    let launches = nest.folded_tripcount() * nest.outer_tripcount();
-    let compute = mapping.cycles(nest.pipelined_tripcount()) * launches;
+    let eff = nest.effective_tripcounts(unroll);
+    let (&pipelined, folded) = eff.split_last().expect("nest has at least one loop");
+    let launches = folded.iter().product::<u64>() * nest.outer_tripcount();
+    let compute = mapping.cycles(pipelined) * launches;
     let transfer = profile.total_volume().div_ceil(OFFCHIP_BYTES_PER_CYCLE);
-    let stall_cycles = transfer.saturating_sub(compute);
+    let cycles = overlap_cycles(compute, transfer);
     PnlSim {
-        cycles: overlap_cycles(compute, transfer),
-        stall_cycles,
+        cycles,
+        stall_cycles: transfer.saturating_sub(compute),
+        energy_pj: energy.pnl_energy_with_iterations(
+            mapping,
+            dfg,
+            launches * pipelined,
+            profile,
+            cycles,
+        ),
         utilization: mapping.utilization(),
         volume_bytes: profile.volume_bytes,
         context_bytes: profile.context_bytes,
@@ -144,7 +161,7 @@ mod tests {
     fn cycles_dominated_by_formula() {
         let (p, nest, dfg, m) = setup();
         let prof = MemoryProfiler::new(&p).profile(&nest, &presets::s4(), m.ii);
-        let sim = simulate_pnl(&m, &dfg, &nest, &prof);
+        let sim = simulate_pnl(&m, &dfg, &nest, &[], &prof, &EnergyModel::default());
         assert!(sim.cycles >= m.cycles(512));
         assert!(sim.cycles <= m.cycles(512) + sim.stall_cycles);
     }
@@ -183,7 +200,7 @@ mod tests {
     fn utilization_in_unit_range() {
         let (p, nest, dfg, m) = setup();
         let prof = MemoryProfiler::new(&p).profile(&nest, &presets::s4(), m.ii);
-        let sim = simulate_pnl(&m, &dfg, &nest, &prof);
+        let sim = simulate_pnl(&m, &dfg, &nest, &[], &prof, &EnergyModel::default());
         assert!(sim.utilization > 0.0 && sim.utilization <= 1.0);
     }
 }

@@ -31,10 +31,9 @@
 //! let mapping = map_dfg(&dfg, &arch, &MapperConfig::default())?;
 //! let profile = MemoryProfiler::new(&p).profile(&nest, &arch, mapping.ii);
 //!
-//! let sim = simulate_pnl(&mapping, &dfg, &nest, &profile);
-//! let energy = EnergyModel::default().pnl_energy(&mapping, &dfg, &nest, &profile, sim.cycles);
+//! let sim = simulate_pnl(&mapping, &dfg, &nest, &[], &profile, &EnergyModel::default());
 //! assert!(sim.cycles >= 1024);
-//! assert!(energy > 0.0);
+//! assert!(sim.energy_pj > 0.0);
 //! # Ok::<(), ptmap_mapper::MapError>(())
 //! ```
 

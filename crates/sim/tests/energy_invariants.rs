@@ -43,8 +43,8 @@ fn every_app_energy_positive_and_finite() {
             let m = map_dfg(&dfg, &arch, &MapperConfig::default())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let prof = MemoryProfiler::new(&p).profile(&nest, &arch, m.ii);
-            let sim = simulate_pnl(&m, &dfg, &nest, &prof);
-            let e = model.pnl_energy(&m, &dfg, &nest, &prof, sim.cycles);
+            let sim = simulate_pnl(&m, &dfg, &nest, &[], &prof, &model);
+            let e = sim.energy_pj;
             assert!(e.is_finite() && e > 0.0, "{name}: energy {e}");
             assert!(model.edp(e, sim.cycles) > 0.0);
         }

@@ -42,12 +42,7 @@ impl PnlCandidate {
     /// Effective tripcounts of the nest loops after unrolling
     /// (`ceil(tc / factor)` per loop).
     pub fn effective_tripcounts(&self) -> Vec<u64> {
-        self.nest
-            .loops
-            .iter()
-            .zip(&self.nest.tripcounts)
-            .map(|(&l, &tc)| tc.div_ceil(self.unroll_factor(l) as u64))
-            .collect()
+        self.nest.effective_tripcounts(&self.unroll)
     }
 
     /// Effective tripcount of the pipelined loop after unrolling.

@@ -97,33 +97,41 @@ fn warm_cache_reproduces_cold_run() {
 }
 
 #[test]
-fn sharded_evaluation_does_not_change_batch_output() {
-    // The GNN job's eval threads share one prediction memo.
+fn concurrent_gnn_jobs_do_not_change_batch_output() {
+    // The GNN jobs running side by side share one parsed checkpoint
+    // and its memoized digest.
     let mut jobs = demo_manifest();
     jobs.extend(
         Manifest::from_json(
-            r#"{"jobs": [{ "kernel": "gemm:8", "arch": "S4",
-                "predictor": "gnn:results/gnn_full_3000_120.json" }]}"#,
+            r#"{"jobs": [
+                { "kernel": "gemm:8", "arch": "S4",
+                  "predictor": "gnn:results/gnn_full_3000_120.json" },
+                { "kernel": "gemm:8", "arch": "R4",
+                  "predictor": "gnn:results/gnn_full_3000_120.json" }
+            ]}"#,
         )
         .unwrap()
         .resolve()
         .unwrap(),
     );
-    assert!(matches!(
-        jobs.last().unwrap().predictor,
-        PredictorSpec::Gnn(_)
-    ));
-    let narrow = BatchConfig::default();
-    let sharded = BatchConfig {
-        base: PtMapConfig {
-            eval_workers: 4,
-            ..PtMapConfig::default()
+    assert!(jobs[jobs.len() - 2..]
+        .iter()
+        .all(|j| matches!(j.predictor, PredictorSpec::Gnn(_))));
+    let serial = run_batch(
+        &jobs,
+        &BatchConfig {
+            workers: 1,
+            ..BatchConfig::default()
         },
-        ..BatchConfig::default()
-    };
-    let a = run_batch(&jobs, &narrow);
-    let b = run_batch(&jobs, &sharded);
-    assert_eq!(a.deterministic_json(), b.deterministic_json());
+    );
+    let wide = run_batch(
+        &jobs,
+        &BatchConfig {
+            workers: 4,
+            ..BatchConfig::default()
+        },
+    );
+    assert_eq!(serial.deterministic_json(), wide.deterministic_json());
 }
 
 #[test]

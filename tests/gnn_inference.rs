@@ -240,7 +240,8 @@ fn memoized_predictions_equal_a_fresh_forward() {
                 );
             }
         }
-        // Four threads share one memo, as eval shards do.
+        // Four threads share one memo: a compiler holds its predictor
+        // as `Send + Sync`, so concurrent calls must agree with it.
         let got: Vec<Vec<(usize, (u32, u32))>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
@@ -256,7 +257,7 @@ fn memoized_predictions_equal_a_fresh_forward() {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for (k, answer) in got.into_iter().flatten() {
-            assert_eq!(answer, want[k], "sharded, {} dfg #{k}", arch.name());
+            assert_eq!(answer, want[k], "4 threads, {} dfg #{k}", arch.name());
         }
     }
 }
