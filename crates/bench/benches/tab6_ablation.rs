@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ptmap_arch::presets;
-use ptmap_baselines::{Al, Baseline};
+use ptmap_bench::baselines::{Al, Baseline};
 use ptmap_bench::suite::{run_suite, MapperSet};
 use ptmap_eval::RankMode;
 use ptmap_gnn::model::{GnnVariant, ModelConfig, PtMapGnn};

@@ -8,7 +8,7 @@
 //! burn budget without producing a result — the volatility the paper
 //! reports, especially for programs with many PNLs.
 
-use crate::Baseline;
+use super::Baseline;
 use ptmap_arch::CgraArch;
 use ptmap_core::{realize_program, CompileReport, PtMapError};
 use ptmap_ir::{LoopId, Program};

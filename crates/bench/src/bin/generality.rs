@@ -3,7 +3,7 @@
 //! architecture, then PT-Map is compared against MapZero, IP, and PBP.
 
 use ptmap_arch::presets;
-use ptmap_baselines::{Baseline, Ip, MapZero, Pbp};
+use ptmap_bench::baselines::{Baseline, Ip, MapZero, Pbp};
 use ptmap_bench::suite::ptmap_with;
 use ptmap_bench::{geomean, trained_model, Scale};
 use ptmap_eval::RankMode;

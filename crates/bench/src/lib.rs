@@ -15,6 +15,7 @@ use ptmap_pipeline::{run_batch, BatchConfig, Job, JobOutcome, PredictorSpec};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+pub mod baselines;
 pub mod fig6;
 pub mod suite;
 

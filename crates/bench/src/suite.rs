@@ -1,7 +1,7 @@
 //! Running every mapper on an (app, architecture) pair.
 
+use crate::baselines::{Al, Am, Baseline, Ip, Lisa, MapZero, Pbp, Ramp};
 use ptmap_arch::CgraArch;
-use ptmap_baselines::{Al, Am, Baseline, Ip, Lisa, MapZero, Pbp, Ramp};
 use ptmap_core::{CompileReport, PtMap, PtMapConfig};
 use ptmap_eval::{GnnPredictor, RankMode};
 use ptmap_gnn::PtMapGnn;

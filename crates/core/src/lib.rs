@@ -248,7 +248,6 @@ impl PtMap {
         tracer: &ptmap_trace::Tracer,
     ) -> Result<CompileReport, PtMapError> {
         let t0 = Instant::now();
-        m.model_version = self.predictor.version();
         if program.perfect_nests().is_empty() {
             return Err(PtMapError::NoPnl);
         }
@@ -464,8 +463,8 @@ impl PtMap {
             let sim_span = tracer.span("simulate");
             sim_span.attr("pnl", pnl_idx);
             let profile = MemoryProfiler::new(&c.program).profile(&c.nest, arch, mapping.ii);
-            // Online-learning tap: report predicted vs actual for this
-            // accepted mapping. Strictly observe-only (see `with_tap`).
+            // Report predicted vs actual for this accepted mapping to the
+            // tap, if any. Strictly observe-only (see `with_tap`).
             if let Some(tap) = &self.tap {
                 tap.record(
                     &dfg,

@@ -65,12 +65,6 @@ pub struct CompileMetrics {
     /// [`absorb`](CompileMetrics::absorb).
     #[serde(default)]
     pub predictor_fallbacks: usize,
-    /// Version of the model snapshot the predictor was loaded from,
-    /// when it carries provenance (see `GnnPredictor::versioned`);
-    /// `None` for analytical/oracle predictors and unversioned
-    /// checkpoints. Aggregation keeps the highest version seen.
-    #[serde(default)]
-    pub model_version: Option<u64>,
 }
 
 impl CompileMetrics {
@@ -97,7 +91,6 @@ impl CompileMetrics {
         self.portfolio_cancellations += other.portfolio_cancellations;
         self.degradations.extend(other.degradations.iter().cloned());
         self.predictor_fallbacks += other.predictor_fallbacks;
-        self.model_version = self.model_version.max(other.model_version);
     }
 }
 
@@ -128,26 +121,16 @@ mod tests {
     }
 
     #[test]
-    fn absorb_sums_fallbacks_and_keeps_max_model_version() {
+    fn absorb_sums_fallbacks() {
         let mut a = CompileMetrics {
             predictor_fallbacks: 1,
-            model_version: Some(3),
             ..CompileMetrics::default()
         };
         let b = CompileMetrics {
             predictor_fallbacks: 2,
-            model_version: Some(1),
             ..CompileMetrics::default()
         };
         a.absorb(&b);
         assert_eq!(a.predictor_fallbacks, 3);
-        assert_eq!(a.model_version, Some(3));
-        // None never regresses a known version.
-        a.absorb(&CompileMetrics::default());
-        assert_eq!(a.model_version, Some(3));
-        // A known version upgrades None.
-        let mut c = CompileMetrics::default();
-        c.absorb(&a);
-        assert_eq!(c.model_version, Some(3));
     }
 }

@@ -16,9 +16,10 @@ pub trait IiPredictor {
     /// A short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Model-version provenance, when the predictor is backed by a
-    /// versioned model snapshot (the online-learning store). `None`
-    /// for analytical/oracle predictors and unversioned checkpoints.
+    /// Model-version provenance. No predictor in the workspace carries
+    /// one, so this is always `None`; it stays only because the
+    /// benchmark's timing wrapper (`perfbench/src/suite.rs`) forwards
+    /// it, and goes with that forwarding impl.
     fn version(&self) -> Option<u64> {
         None
     }
@@ -38,7 +39,6 @@ pub trait IiPredictor {
 #[derive(Debug, Clone)]
 pub struct GnnPredictor {
     model: ptmap_gnn::PtMapGnn,
-    version: Option<u64>,
     hw: Arc<Mutex<HwCache>>,
 }
 
@@ -51,17 +51,7 @@ impl GnnPredictor {
     pub fn new(model: ptmap_gnn::PtMapGnn) -> Self {
         GnnPredictor {
             model,
-            version: None,
             hw: Arc::default(),
-        }
-    }
-
-    /// Wraps a model loaded from a versioned snapshot, stamping its
-    /// version into compile metrics for provenance.
-    pub fn versioned(model: ptmap_gnn::PtMapGnn, version: u64) -> Self {
-        GnnPredictor {
-            version: Some(version),
-            ..GnnPredictor::new(model)
         }
     }
 
@@ -116,10 +106,6 @@ impl IiPredictor for GnnPredictor {
 
     fn name(&self) -> &'static str {
         "gnn"
-    }
-
-    fn version(&self) -> Option<u64> {
-        self.version
     }
 }
 

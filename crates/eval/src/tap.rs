@@ -1,16 +1,19 @@
-//! Live-traffic sample taps for online cost-model learning.
+//! Observe-only sample taps on accepted mappings.
 //!
-//! A [`SampleTap`] observes every compile the pipeline finishes: the
-//! DFG and architecture that were scored, what the predictor said, and
-//! what the mapper actually produced. The tap sits strictly off the
-//! decision path — implementations must not influence the compile that
-//! fed them — which is what keeps `--learn` bit-identical to a
-//! learning-free run (the determinism guard tests pin this down).
+//! A [`SampleTap`] observes every mapping a compile accepts: the DFG
+//! and architecture that were scored, what the predictor said, and
+//! what the mapper actually produced — the predicted-vs-actual pair of
+//! the paper's Fig. 6, taken from an ordinary compile. A tap is
+//! installed per compiler with `PtMap::with_tap`; the benchmark's
+//! traced pass uses one to collect the mapped DFGs. The tap sits
+//! strictly off the decision path — implementations must not influence
+//! the compile that fed them — so a compile reports the same result
+//! with or without one (core's `tap_observes_without_changing_results`
+//! test pins this down).
 //!
-//! The trait lives in `ptmap-eval` rather than the learning crate so
-//! `ptmap-core` (which depends on eval for predictors already) can hook
-//! its mapper without a dependency on the learning machinery; the
-//! learning engine implements the trait from above.
+//! The trait lives in `ptmap-eval`, next to the predictors whose
+//! answers it reports, so `ptmap-core` can call it from its mapping
+//! loop without a new dependency.
 
 use ptmap_arch::CgraArch;
 use ptmap_ir::Dfg;

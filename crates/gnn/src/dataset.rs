@@ -12,11 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// One labeled sample.
-///
-/// Serializes for the online-learning spill log: a daemon's live
-/// samples are the same shape as offline dataset rows, so both feed
-/// [`crate::train`] and [`crate::mape_cycles`] unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Model input.
     pub input: GnnInput,

@@ -27,9 +27,7 @@ pub const HW_EXT_START: usize = OpKind::ALL.len();
 
 /// Dense model inputs for one (DFG, architecture) pair.
 ///
-/// Serializes so live-traffic samples can spill to the online-learning
-/// JSONL log (`ptmap-learn`) and be replayed into training.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnnInput {
     /// `[n_sw, SW_FEATS]` node features of the DFG.
     pub sw_x: Matrix,

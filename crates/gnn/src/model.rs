@@ -596,8 +596,8 @@ impl PtMapGnn {
     /// Serializes the model (weights, Adam moments, config) to a
     /// deterministic JSON byte string. The encoding is stable for a
     /// given model value — `from_bytes(to_bytes(m)).to_bytes()` is
-    /// byte-identical — which lets snapshot stores content-address and
-    /// checksum model versions.
+    /// byte-identical — so the bytes can be content-addressed and
+    /// checksummed.
     pub fn to_bytes(&self) -> Vec<u8> {
         serde_json::to_string(self)
             .expect("model serialization cannot fail")

@@ -36,9 +36,9 @@ fn serde_round_trip_preserves_predictions() {
 
 #[test]
 fn byte_encoding_is_deterministic() {
-    // The snapshot store checksums `to_bytes()` output, so the byte
-    // encoding must be stable: encode -> decode -> encode produces the
-    // identical byte string, and two encodes of the same value agree.
+    // The byte encoding must be stable: encode -> decode -> encode
+    // produces the identical byte string, and two encodes of the same
+    // value agree.
     let data = generate_dataset(&DatasetConfig {
         samples: 6,
         archs: vec![presets::s4()],

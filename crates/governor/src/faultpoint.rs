@@ -54,10 +54,6 @@ pub mod sites {
     /// One gateway health probe of a peer (`ptmap-serve`). Scoped to
     /// the peer address, like [`GATEWAY_FORWARD`].
     pub const PEER_HEALTH: &str = "peer_health";
-    /// Reading a versioned model snapshot from `--model-dir`
-    /// (`ptmap-learn`). Scoped to the snapshot file name, so one
-    /// version's load can be failed while the others restore clean.
-    pub const MODEL_LOAD: &str = "model_load";
 }
 
 /// The structured error an `error`- or `refuse`-mode fault surfaces at

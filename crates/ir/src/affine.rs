@@ -24,10 +24,31 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// assert_eq!(e.coeff(LoopId(1)), 1);
 /// assert_eq!(e.constant_term(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct AffineExpr {
     coeffs: BTreeMap<LoopId, i64>,
     constant: i64,
+}
+
+/// Written by hand so a zero coefficient in the input is dropped, as
+/// every constructor drops it: equality, hashing, [`AffineExpr::loops`]
+/// and [`AffineExpr::is_constant`] rely on none being stored.
+impl Deserialize for AffineExpr {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::DeError::new("AffineExpr: expected object"))?;
+        let field = |name: &str| {
+            serde::obj_get(obj, name)
+                .ok_or_else(|| serde::DeError::new(&format!("AffineExpr: missing field {name}")))
+        };
+        let mut coeffs = BTreeMap::<LoopId, i64>::deserialize(field("coeffs")?)?;
+        coeffs.retain(|_, c| *c != 0);
+        Ok(AffineExpr {
+            coeffs,
+            constant: i64::deserialize(field("constant")?)?,
+        })
+    }
 }
 
 impl AffineExpr {
@@ -289,9 +310,26 @@ mod tests {
     }
 
     #[test]
+    fn deserializing_drops_zero_coefficients() {
+        let stored_zero = AffineExpr {
+            coeffs: [(LoopId(0), 2), (LoopId(1), 0)].into_iter().collect(),
+            constant: 7,
+        };
+        let json = serde_json::to_string(&stored_zero).unwrap();
+        let back: AffineExpr = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, i() * 2 + AffineExpr::constant(7));
+        assert_eq!(back.loops().collect::<Vec<_>>(), [LoopId(0)]);
+        assert!(!back.is_constant());
+        let zero: AffineExpr = serde_json::from_str(r#"{"coeffs":{"0":0},"constant":3}"#).unwrap();
+        assert!(zero.is_constant());
+        assert_eq!(zero, AffineExpr::constant(3));
+    }
+
+    #[test]
     fn stored_zero_coefficients_are_uniform() {
-        // A deserialized expression may store a zero coefficient; it
-        // counts as absent, so these subscripts are uniform.
+        // Only this module can store a zero coefficient (every
+        // constructor and deserialization drop them); one still counts
+        // as absent, so these subscripts are uniform.
         use crate::access::ArrayAccess;
         use crate::id::ArrayId;
         let stored_zero = AffineExpr {

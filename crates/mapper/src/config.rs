@@ -6,8 +6,9 @@ use serde::{Deserialize, Serialize};
 /// Tuning knobs of the modulo scheduler.
 ///
 /// The defaults model the paper's RAMP setup (max II 20). `effort`
-/// scales the per-II attempt and candidate budgets; the baselines crate
-/// raises it to emulate the stronger learned schedulers.
+/// scales the per-II attempt and candidate budgets; the baselines
+/// (`ptmap_bench::baselines`) raise it to emulate the stronger learned
+/// schedulers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MapperConfig {
     /// Largest initiation interval to try (paper: 20).

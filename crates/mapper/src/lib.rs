@@ -11,8 +11,9 @@
 //! II (`max(ResMII, RecMII)`, see [`mod@mii`]), each candidate II gets a
 //! bounded number of randomized placement attempts before escalating.
 //! The [`MapperConfig::effort`] knob controls those budgets; the
-//! baselines crate uses a higher effort to model the stronger GNN/RL
-//! schedulers (LISA, MapZero) the paper compares against.
+//! baselines (`ptmap_bench::baselines`) use a higher effort to model
+//! the stronger GNN/RL schedulers (LISA, MapZero) the paper compares
+//! against.
 //!
 //! # Example
 //!

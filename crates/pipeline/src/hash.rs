@@ -8,8 +8,7 @@
 //! A checksummed file is `<64-hex-sha256>\n<payload>`, the checksum
 //! covering the exact payload bytes. [`write_framed`] publishes one
 //! atomically, [`verify_frame`] checks one, and [`quarantine`] moves a
-//! file that failed aside. The report cache and the learner's model
-//! snapshots both use it.
+//! file that failed aside. The report cache uses it.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

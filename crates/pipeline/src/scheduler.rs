@@ -37,7 +37,7 @@ use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Batch execution configuration.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Job-level worker threads (`<= 1` = serial).
     pub workers: usize,
@@ -61,25 +61,6 @@ pub struct BatchConfig {
     /// Per-compile span-tree tracing (`None` = disabled; the compile
     /// hot path then sees only `Option` branches).
     pub trace: Option<TraceSettings>,
-    /// Observe-only sample tap installed on every compilation (the
-    /// online-learning ingest hook; see `ptmap_eval::SampleTap`). Taps
-    /// never affect compile results or cache keys.
-    pub tap: Option<std::sync::Arc<dyn ptmap_eval::SampleTap>>,
-}
-
-impl std::fmt::Debug for BatchConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchConfig")
-            .field("workers", &self.workers)
-            .field("cache_dir", &self.cache_dir)
-            .field("base", &self.base)
-            .field("job_timeout", &self.job_timeout)
-            .field("budget", &self.budget)
-            .field("max_retries", &self.max_retries)
-            .field("trace", &self.trace)
-            .field("tap", &self.tap.as_ref().map(|_| "<tap>"))
-            .finish()
-    }
 }
 
 impl Default for BatchConfig {
@@ -92,7 +73,6 @@ impl Default for BatchConfig {
             budget: Budget::unlimited(),
             max_retries: 2,
             trace: None,
-            tap: None,
         }
     }
 }
@@ -515,11 +495,7 @@ fn run_one_scoped(
                 return Attempt::CacheHit(report);
             }
             let budget = config.budget.child(config.job_timeout);
-            let mut compiler = job.compiler(&cfg);
-            if let Some(tap) = &config.tap {
-                compiler = compiler.with_tap(std::sync::Arc::clone(tap));
-            }
-            let (result, m) = compiler.compile_instrumented_traced(
+            let (result, m) = job.compiler(&cfg).compile_instrumented_traced(
                 &job.program,
                 &job.arch,
                 &budget,
@@ -1061,55 +1037,6 @@ mod tests {
         assert_eq!(batch.metrics.counters["predictor_fallbacks"], 1);
         assert_eq!(batch.metrics.jobs[0].stages.predictor_fallbacks, 1);
         assert_eq!(batch.metrics.jobs[1].stages.predictor_fallbacks, 0);
-    }
-
-    #[test]
-    fn tap_does_not_change_outcomes_or_cache_keys() {
-        let js = jobs(2);
-        let plain = run_batch(
-            &js,
-            &BatchConfig {
-                base: quick_base(),
-                ..BatchConfig::default()
-            },
-        );
-        let tap = std::sync::Arc::new(ptmap_eval::RecordingTap::new());
-        let cache = ReportCache::in_memory();
-        let tapped = run_batch_with_cache(
-            &js,
-            &BatchConfig {
-                base: quick_base(),
-                tap: Some(tap.clone()),
-                ..BatchConfig::default()
-            },
-            &cache,
-        );
-        assert_eq!(plain.deterministic_json(), tapped.deterministic_json());
-        assert!(!tap.observations().is_empty(), "tap must see the compiles");
-        // A tap-free rerun against the same cache hits every key: the
-        // tap is invisible to cache identity.
-        let again = run_batch_with_cache(
-            &js,
-            &BatchConfig {
-                base: quick_base(),
-                ..BatchConfig::default()
-            },
-            &cache,
-        );
-        assert_eq!(again.metrics.cache_hits, 2);
-        // Identical modulo the cache_hit marker (plain ran cold).
-        let warmth_blind = |batch: &BatchReport| -> String {
-            let outcomes: Vec<JobOutcome> = batch
-                .outcomes
-                .iter()
-                .map(|o| JobOutcome {
-                    cache_hit: false,
-                    ..o.deterministic()
-                })
-                .collect();
-            serde_json::to_string_pretty(&outcomes).expect("outcomes serialize")
-        };
-        assert_eq!(warmth_blind(&plain), warmth_blind(&again));
     }
 
     #[test]

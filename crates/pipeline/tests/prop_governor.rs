@@ -105,7 +105,6 @@ proptest! {
             budget,
             max_retries: 1,
             trace: None,
-            tap: None,
         };
 
         // Completing at all is the no-deadlock / no-propagated-panic

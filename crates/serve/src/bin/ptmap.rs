@@ -10,8 +10,6 @@
 //! ptmap serve   [SERVICE FLAGS] [--workers N] [--queue-cap N]
 //!               [--max-inflight N] [--cache-dir DIR] [--max-retries N]
 //!               [--trace-sample P] [--trace-slow-ms MS]
-//!               [--learn [--model-dir DIR] [--train-threshold N]
-//!                [--shadow-window N] [--promote-margin F]]
 //! ptmap gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]
 //!               [--probe-interval-ms MS] [--failure-threshold N]
 //!               [--cooldown-ms MS] [--max-retries N]
@@ -104,8 +102,6 @@ fn usage_text() -> &'static str {
      \x20 serve   [SERVICE FLAGS] [--workers N] [--queue-cap N]\n\
      \x20         [--max-inflight N] [--cache-dir DIR] [--max-retries N]\n\
      \x20         [--trace-sample P] [--trace-slow-ms MS]\n\
-     \x20         [--learn [--model-dir DIR] [--train-threshold N]\n\
-     \x20          [--shadow-window N] [--promote-margin F]]\n\
      \x20 gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]\n\
      \x20         [--probe-interval-ms MS] [--failure-threshold N]\n\
      \x20         [--cooldown-ms MS] [--max-retries N]\n\
@@ -340,7 +336,6 @@ fn batch(args: &[String]) -> ExitCode {
                 }),
                 None => None,
             },
-            tap: None,
         };
         let batch = run_batch(&jobs, &config);
         for (o, m) in batch.outcomes.iter().zip(&batch.metrics.jobs) {
@@ -447,12 +442,8 @@ fn service(args: &[String], gateway: bool) -> ExitCode {
                 "--max-retries",
                 "--trace-sample",
                 "--trace-slow-ms",
-                "--model-dir",
-                "--train-threshold",
-                "--shadow-window",
-                "--promote-margin",
             ],
-            &["--validate", "--learn"],
+            &["--validate"],
         )
     };
     let flags = match Flags::parse(args, &[&SERVICE_FLAGS[..], own].concat(), switches) {
@@ -566,56 +557,9 @@ fn serve_config(flags: &Flags) -> Result<ptmap_serve::ServeConfig, String> {
         trace_sample: parse_sample(flags.get("--trace-sample"), "--trace-sample")?
             .unwrap_or(defaults.trace_sample),
         trace_slow_ms: parse_ms(flags.get("--trace-slow-ms"), "--trace-slow-ms")?,
-        learn: learn_config(flags)?,
         log_level: shared.log_level,
         log_format: shared.log_format,
     })
-}
-
-/// Builds the online-learning configuration from `serve` flags; `None`
-/// without `--learn`. Learning sub-flags given without `--learn` are
-/// usage errors — a typo must not silently disable the subsystem the
-/// operator tried to tune.
-fn learn_config(flags: &Flags) -> Result<Option<ptmap_learn::LearnConfig>, String> {
-    if !flags.has("--learn") {
-        for sub in [
-            "--model-dir",
-            "--train-threshold",
-            "--shadow-window",
-            "--promote-margin",
-        ] {
-            if flags.get(sub).is_some() {
-                return Err(format!("{sub} requires --learn"));
-            }
-        }
-        return Ok(None);
-    }
-    let defaults = ptmap_learn::LearnConfig::default();
-    Ok(Some(ptmap_learn::LearnConfig {
-        model_dir: flags.get("--model-dir").map(Into::into),
-        train_threshold: parse_count(
-            flags.get("--train-threshold"),
-            "--train-threshold",
-            defaults.train_threshold,
-        )?,
-        shadow_window: parse_count(
-            flags.get("--shadow-window"),
-            "--shadow-window",
-            defaults.shadow_window,
-        )?,
-        promote_margin: match flags.get("--promote-margin") {
-            Some(t) => match t.parse::<f64>() {
-                Ok(m) if (0.0..1.0).contains(&m) => m,
-                _ => {
-                    return Err(format!(
-                        "--promote-margin must be a fraction in [0, 1), got {t}"
-                    ))
-                }
-            },
-            None => defaults.promote_margin,
-        },
-        ..defaults
-    }))
 }
 
 /// Builds the gateway configuration from `gateway` flags.

@@ -600,8 +600,8 @@ impl Service for GatewayState {
             .unwrap_or_else(|| error_response(404, &format!("no trace {id_text}")))
     }
 
-    fn extra_path(&self) -> &'static str {
-        "/cluster"
+    fn extra_path(&self) -> Option<&'static str> {
+        Some("/cluster")
     }
 
     /// `GET /cluster`: membership and breaker introspection.
@@ -1167,7 +1167,7 @@ fn trace_response(gateway: Option<Trace>, daemon: Option<Trace>, raw: bool) -> O
 }
 
 /// The scalar singletons re-exported per peer in the cluster rollup.
-const ROLLUP_METRICS: [(&str, &str); 6] = [
+const ROLLUP_METRICS: [(&str, &str); 5] = [
     (
         "ptmap_compiles_started_total",
         "ptmap_cluster_compiles_started_total",
@@ -1175,7 +1175,6 @@ const ROLLUP_METRICS: [(&str, &str); 6] = [
     ("ptmap_queue_depth", "ptmap_cluster_queue_depth"),
     ("ptmap_inflight_compiles", "ptmap_cluster_inflight_compiles"),
     ("ptmap_cache_hits_total", "ptmap_cluster_cache_hits_total"),
-    ("ptmap_model_version", "ptmap_cluster_model_version"),
     (
         "ptmap_process_start_time_seconds",
         "ptmap_cluster_peer_start_time_seconds",

@@ -1,4 +1,4 @@
-//! The daemon: compile endpoints, worker pool, online learning.
+//! The daemon: compile endpoints and worker pool.
 //!
 //! One [`ServerState`] holds everything resident: the report cache,
 //! the pipeline recorder, the flight table and the async job queue,
@@ -19,7 +19,6 @@ use crate::service::{
 };
 use crate::traces::TraceStore;
 use ptmap_core::PtMapConfig;
-use ptmap_learn::{LearnConfig, LearnEngine};
 use ptmap_pipeline::{
     compile_job_traced, request_key, BatchConfig, Job, JobOutcome, JobSpec, Recorder, ReportCache,
 };
@@ -65,11 +64,6 @@ pub struct ServeConfig {
     /// Slow-compile threshold: a compile slower than this keeps its
     /// trace even when sampled out, so outliers are always inspectable.
     pub trace_slow_ms: Option<u64>,
-    /// Online cost-model learning (`--learn`): `Some` boots a
-    /// [`LearnEngine`] that taps every completed compile, fine-tunes in
-    /// the background, and hot-swaps the learned model behind
-    /// `GET /model`. `None` disables the subsystem entirely.
-    pub learn: Option<LearnConfig>,
     /// Minimum severity of structured events emitted to stderr and
     /// retained by the flight recorder (`--log-level`).
     pub log_level: Level,
@@ -93,7 +87,6 @@ impl Default for ServeConfig {
             drain_timeout: Duration::from_secs(20),
             trace_sample: 1.0,
             trace_slow_ms: None,
-            learn: None,
             log_level: Level::Info,
             log_format: LogFormat::Text,
         }
@@ -124,9 +117,6 @@ pub(crate) struct ServerState {
     jobs: JobTable,
     /// Ring buffer of retained compile traces (`GET /jobs/<id>/trace`).
     traces: TraceStore,
-    /// The online-learning engine (`--learn`); doubles as the pipeline
-    /// sample tap.
-    learn: Option<Arc<LearnEngine>>,
     /// Leader compiles currently running.
     inflight: AtomicUsize,
     /// Async worker threads currently alive.
@@ -195,14 +185,9 @@ impl Server {
             Some(dir) => ReportCache::with_dir_or_memory(dir),
             None => ReportCache::in_memory(),
         };
-        let learn = match config.learn.clone() {
-            Some(lc) => Some(Arc::new(LearnEngine::new(lc)?)),
-            None => None,
-        };
         let state = Arc::new(ServerState {
             core,
             cache,
-            learn,
             recorder: Recorder::new(),
             coalescer: Arc::new(Coalescer::new()),
             jobs: JobTable::new(config.queue_cap.max(1)),
@@ -248,41 +233,9 @@ impl Server {
             );
         }
 
-        // The background trainer: drains the sample tap, fine-tunes,
-        // shadows, and promotes — entirely off the request path. Each
-        // pump runs under a scope of the root budget, so the drain
-        // timeout's root cancel stops training within one epoch. The
-        // final iteration after the stop flag flushes pending samples.
-        let trainer = state.learn.as_ref().map(|engine| {
-            let engine = Arc::clone(engine);
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("ptmap-learn".to_string())
-                .spawn(move || loop {
-                    let stopping = state.core.stopping() || state.core.draining();
-                    let tracer = Tracer::root("learn");
-                    let budget = state.core.root.scoped_child(None);
-                    let t0 = Instant::now();
-                    let report = engine.pump(&budget, &tracer);
-                    // Lifecycle pumps (a training round or a verdict)
-                    // are rare and always worth a retained trace.
-                    if report.trained || report.promoted || report.rejected {
-                        store_trace(&state, &tracer, true, t0.elapsed());
-                    }
-                    if stopping {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                })
-                .expect("spawn learn trainer")
-        });
-
         let clean = crate::service::serve(self.listener, Arc::clone(&state), || {
             for worker in workers {
                 let _ = worker.join();
-            }
-            if let Some(trainer) = trainer {
-                let _ = trainer.join();
             }
         });
         DrainSummary {
@@ -406,9 +359,6 @@ impl Service for ServerState {
              to load.",
             counters.get("predictor_fallbacks").copied().unwrap_or(0),
         );
-        if let Some(engine) = &self.learn {
-            engine.expose_metrics(&mut w);
-        }
         w.finish()
     }
 
@@ -593,20 +543,6 @@ impl Service for ServerState {
         }
     }
 
-    fn extra_path(&self) -> &'static str {
-        "/model"
-    }
-
-    /// `GET /model`: the online-learning engine's state — serving model
-    /// version, sample/training/promotion counters, live MAPE, and any
-    /// in-flight shadow window. `404` when `--learn` is off.
-    fn extra(&self) -> Response {
-        match &self.learn {
-            Some(engine) => Response::json(200, engine.status_json()),
-            None => error_response(404, "online learning disabled (start with --learn)"),
-        }
-    }
-
     /// `GET /healthz`: readiness.
     fn healthz(&self) -> Response {
         // Workers configured but all dead means async submissions would
@@ -718,12 +654,6 @@ fn lead(
         // File export is the batch CLI's sink; the daemon renders and
         // retains traces itself (see `store_trace`).
         trace: None,
-        // Online-learning ingest: observe-only, so it never perturbs
-        // compile results or cache keys.
-        tap: state
-            .learn
-            .as_ref()
-            .map(|l| Arc::clone(l) as Arc<dyn ptmap_eval::SampleTap>),
     };
     let (outcome, _metrics) =
         compile_job_traced(job, &config, &state.cache, &state.recorder, &tracer);
@@ -835,9 +765,5 @@ mod tests {
         assert!(text.contains("ptmap_stage_invocations_total{stage=\"map\"} 1\n"));
         assert!(text.contains("ptmap_pipeline_events_total{event=\"jobs_ok\"} 9\n"));
         assert!(text.contains("\nptmap_predictor_fallbacks_total 0\n"));
-        assert!(
-            !text.contains("ptmap_model_version"),
-            "no learner, no learn series"
-        );
     }
 }

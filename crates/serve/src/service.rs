@@ -44,10 +44,15 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn poll(&self, id: u64) -> Response;
     /// `GET /jobs/<id>/trace` (non-empty `id`); `raw`: `?format=raw`.
     fn trace(&self, id: &str, raw: bool) -> Response;
-    /// The service's one extra `GET` endpoint (`/model`, `/cluster`).
-    fn extra_path(&self) -> &'static str;
+    /// The service's one extra `GET` endpoint, if it has one
+    /// (`/cluster`).
+    fn extra_path(&self) -> Option<&'static str> {
+        None
+    }
     /// Answers [`Service::extra_path`].
-    fn extra(&self) -> Response;
+    fn extra(&self) -> Response {
+        error_response(404, "not found")
+    }
     /// `GET /healthz` while not draining.
     fn healthz(&self) -> Response;
     /// The `/metrics` document; without `live` nothing is scraped.
@@ -502,7 +507,13 @@ fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'sta
         Some((p, q)) => (p, Some(q)),
         None => (request.path.as_str(), None),
     };
-    let extra = state.extra_path();
+    if let Some(extra) = state.extra_path().filter(|extra| *extra == path) {
+        // The label is the path without its slash: `cluster`.
+        return match request.method.as_str() {
+            "GET" => (&extra[1..], state.extra()),
+            _ => ("other", error_response(405, "method not allowed")),
+        };
+    }
     match (request.method.as_str(), path) {
         ("POST", "/compile") => ("compile", state.compile(request, stream)),
         ("POST", "/jobs") => ("jobs_submit", state.submit(request)),
@@ -535,12 +546,8 @@ fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'sta
             Response::json(503, "{\"status\":\"draining\"}".to_string()),
         ),
         ("GET", "/healthz") => ("healthz", state.healthz()),
-        // The label is the path without its slash: `model`, `cluster`.
-        ("GET", path) if path == extra => (&extra[1..], state.extra()),
         (_, path)
-            if path == extra
-                || ["/compile", "/jobs", "/metrics", "/debug/events", "/healthz"]
-                    .contains(&path) =>
+            if ["/compile", "/jobs", "/metrics", "/debug/events", "/healthz"].contains(&path) =>
         {
             ("other", error_response(405, "method not allowed"))
         }

@@ -213,14 +213,11 @@ fn serve_bad_flags_exit_two() {
         &["serve", "--workers", "zero"],
         &["serve", "--deadline", "-3"],
         &["serve", "--frobnicate"],
-        // Learning sub-flags require --learn.
+        &["serve", "--learn"],
         &["serve", "--model-dir", "/tmp/models"],
         &["serve", "--train-threshold", "8"],
         &["serve", "--shadow-window", "8"],
         &["serve", "--promote-margin", "0.05"],
-        // And their values must parse.
-        &["serve", "--learn", "--train-threshold", "zero"],
-        &["serve", "--learn", "--promote-margin", "1.5"],
         &["serve", "--speculate", "auto"],
     ];
     for args in cases {

@@ -660,6 +660,10 @@ fn bad_requests_and_unknown_routes() {
     assert_eq!(http(addr, "GET", "/compile", &[], "").status, 405);
     assert_eq!(http(addr, "DELETE", "/jobs", &[], "").status, 405);
     assert_eq!(http(addr, "GET", "/", &[], "").status, 404);
+    // The daemon has no model endpoint: `/model` is an unknown route.
+    let reply = http(addr, "GET", "/model", &[], "");
+    assert_eq!(reply.status, 404, "{}", reply.body);
+    assert_eq!(error_message(&reply.body), "not found");
     // A trace path without an id is a JSON 404, not a handler panic.
     for path in ["/jobs/trace", "/jobs//trace"] {
         let reply = http(addr, "GET", path, &[], "");

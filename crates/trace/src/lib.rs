@@ -53,7 +53,7 @@ pub use stitch::{stitch, FORWARD_SPAN, WINNER_ATTR};
 
 /// Locks a mutex, recovering from poisoning. The workspace's shared
 /// state (trace span vectors, the recorder and report cache, the
-/// daemon's maps, the learner's queues) outlives any one compile or
+/// daemon's maps and job queue) outlives any one compile or
 /// request, so a panicking one (isolated by `catch_unwind`) must not
 /// wedge it. Every guarded value is valid after an interrupted
 /// mutation, since pushes, inserts and counter bumps are atomic from
@@ -107,29 +107,6 @@ impl From<String> for AttrValue {
     fn from(v: String) -> Self {
         AttrValue::Str(v)
     }
-}
-
-/// Event names of the online-learning lifecycle (`ptmap-learn`).
-///
-/// The trainer runs as a governor-budgeted background loop, and its
-/// state machine — accumulate samples, fine-tune a candidate, shadow
-/// it against the serving model, promote or reject — is recorded as
-/// events on the learn tracer's root span, next to the governor's own
-/// `deadline_hit` / `cancelled` events. Shared constants so the engine
-/// and the tests asserting on the trace agree on spelling.
-pub mod learn_events {
-    /// A fine-tuning round started (attrs: `samples`, `from_version`).
-    pub const TRAIN_START: &str = "learn_train_start";
-    /// A fine-tuning round finished and produced a candidate.
-    pub const TRAIN_DONE: &str = "learn_train_done";
-    /// A candidate entered shadow evaluation (attr: `window`).
-    pub const SHADOW_START: &str = "learn_shadow_start";
-    /// The shadow window closed and the candidate won; the serving
-    /// model was hot-swapped (attrs: `version`, MAPE pair).
-    pub const PROMOTE: &str = "learn_promote";
-    /// The shadow window closed and the candidate lost; it was
-    /// discarded and the serving model kept (attrs: MAPE pair).
-    pub const REJECT: &str = "learn_reject";
 }
 
 /// A point-in-time annotation inside a span.

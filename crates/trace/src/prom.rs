@@ -1,13 +1,13 @@
 //! The Prometheus text exposition format (version 0.0.4).
 //!
-//! Every `/metrics` document in the workspace (the daemon's, the
-//! gateway's and the learner's section of the daemon's) is written
-//! through [`Exposition`], so this is the one module that writes
-//! `# HELP` / `# TYPE` lines, escapes label values and formats sample
-//! values. [`Histogram`] is the one bucketed distribution type: its
-//! bounds are data, so request latency and the learner's error ratio
-//! are two instances of it. [`check_prometheus_text`] is the one
-//! definition of "parses" for tests.
+//! Every `/metrics` document in the workspace (the daemon's and the
+//! gateway's) is written through [`Exposition`], so this is the one
+//! module that writes `# HELP` / `# TYPE` lines, escapes label values
+//! and formats sample values. [`Histogram`] is the one bucketed
+//! distribution type: its bounds are data, so the daemons' request
+//! latency and the load generator's are instances of it.
+//! [`check_prometheus_text`] is the one definition of "parses" for
+//! tests.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -170,9 +170,8 @@ pub const LATENCY_BUCKETS: &[&str] = &[
 
 /// A fixed-bucket histogram. The bounds are given as their `le` label
 /// text, so each family keeps the text it has always exposed (`1.0` for
-/// request latency, `1` for the learner's error ratio), and parsed once
-/// at construction, so [`Histogram::observe`] neither allocates nor
-/// parses.
+/// request latency), and parsed once at construction, so
+/// [`Histogram::observe`] neither allocates nor parses.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     le: &'static [&'static str],

@@ -33,7 +33,7 @@
 //! transformation and its simulated performance.
 
 pub use ptmap_arch as arch;
-pub use ptmap_baselines as baselines;
+pub use ptmap_bench::baselines;
 pub use ptmap_core as core;
 pub use ptmap_eval as eval;
 pub use ptmap_exact as exact;
