@@ -7,8 +7,8 @@
 //!               [--backend {heuristic|exact|portfolio}]
 //!               [--cache-dir DIR] [--metrics out.json] [--out out.json]
 //!               [--trace-dir DIR [--trace-sample P] [--trace-slow-ms MS]]
-//! ptmap serve   [SERVICE FLAGS] [--workers N] [--queue-cap N]
-//!               [--max-inflight N] [--cache-dir DIR] [--max-retries N]
+//! ptmap serve   [SERVICE FLAGS] [--workers N (most compiles at once)]
+//!               [--cache-dir DIR] [--max-retries N]
 //!               [--trace-sample P] [--trace-slow-ms MS]
 //! ptmap gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]
 //!               [--probe-interval-ms MS] [--failure-threshold N]
@@ -99,8 +99,8 @@ fn usage_text() -> &'static str {
      \x20         [--validate] [--deadline SECS] [--job-timeout SECS]\n\
      \x20         [--max-retries N]\n\
      \x20         [--trace-dir DIR [--trace-sample P] [--trace-slow-ms MS]]\n\
-     \x20 serve   [SERVICE FLAGS] [--workers N] [--queue-cap N]\n\
-     \x20         [--max-inflight N] [--cache-dir DIR] [--max-retries N]\n\
+     \x20 serve   [SERVICE FLAGS] [--workers N (most compiles at once)]\n\
+     \x20         [--cache-dir DIR] [--max-retries N]\n\
      \x20         [--trace-sample P] [--trace-slow-ms MS]\n\
      \x20 gateway --peers HOST:PORT,HOST:PORT,... [SERVICE FLAGS]\n\
      \x20         [--probe-interval-ms MS] [--failure-threshold N]\n\
@@ -436,8 +436,6 @@ fn service(args: &[String], gateway: bool) -> ExitCode {
         (
             &[
                 "--workers",
-                "--queue-cap",
-                "--max-inflight",
                 "--cache-dir",
                 "--max-retries",
                 "--trace-sample",
@@ -543,12 +541,9 @@ fn serve_config(flags: &Flags) -> Result<ptmap_serve::ServeConfig, String> {
         defaults.default_timeout,
         defaults.drain_timeout,
     )?;
-    let count = |flag: &str, default: usize| parse_count(flags.get(flag), flag, default);
     Ok(ptmap_serve::ServeConfig {
         addr: shared.addr,
-        workers: count("--workers", defaults.workers)?,
-        queue_cap: count("--queue-cap", defaults.queue_cap)?,
-        max_inflight: count("--max-inflight", defaults.max_inflight)?,
+        workers: parse_count(flags.get("--workers"), "--workers", defaults.workers)?,
         cache_dir: flags.get("--cache-dir").map(Into::into),
         base: shared.base,
         max_retries: parse_retries(flags, defaults.max_retries)?,

@@ -13,7 +13,7 @@
 //! (client disconnect, own deadline) detach from the flight; when the
 //! last waiter detaches, the flight's budget is cancelled so an
 //! audience-less compile stops at its next cooperative check instead
-//! of burning a worker.
+//! of burning a compile slot.
 
 use crate::lock_unpoisoned;
 use ptmap_governor::Budget;

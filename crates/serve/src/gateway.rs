@@ -1,8 +1,8 @@
 //! The sharding gateway: one HTTP front for a cluster of daemons.
 //!
 //! `ptmap gateway` runs on the daemon's `service` (`service.rs`)
-//! skeleton but compiles nothing itself. Every `POST /compile` /
-//! `POST /jobs` is routed by its pipeline
+//! skeleton but compiles nothing itself. Every `POST /compile` is
+//! routed by its pipeline
 //! [`request_key`](ptmap_pipeline::request_key) over a consistent-hash
 //! [`HashRing`] of backend daemons, so one kernel always lands on the
 //! same peer and that peer's report cache stays hot. Around that core
@@ -21,9 +21,6 @@
 //! * **Deadline & trace propagation** — every hop re-derives
 //!   `X-Ptmap-Deadline-Ms` from the *remaining* budget and carries the
 //!   client's `X-Ptmap-Trace-Id` through, so a trace spans the cluster.
-//! * **Async job continuity** — the gateway keeps each submitted job's
-//!   raw spec; polling a job whose owner died resubmits it to the next
-//!   live replica instead of surfacing the loss.
 //!
 //! `GET /metrics` serves the gateway's own series plus a cluster
 //! rollup scraped from live peers; `GET /cluster` is the membership
@@ -33,8 +30,7 @@ use crate::client::{self, ClientError, PeerResponse};
 use crate::http::{Request, Response};
 use crate::lock_unpoisoned;
 use crate::service::{
-    error_outcome, error_response, json_string, outcome_response, with_retry_after, Core, Service,
-    ServiceHandle,
+    error_outcome, error_response, outcome_response, with_retry_after, Core, Service, ServiceHandle,
 };
 use crate::shard::{Breaker, BreakerState, HashRing};
 use crate::traces::TraceStore;
@@ -56,8 +52,8 @@ use std::time::{Duration, Instant};
 
 /// Deadline for one health probe or metrics scrape of a peer.
 const PROBE_DEADLINE: Duration = Duration::from_millis(750);
-/// Deadline for forwarding one async-job poll.
-const POLL_DEADLINE: Duration = Duration::from_secs(10);
+/// Deadline for assembling one stitched trace (the peer fan-out).
+const TRACE_DEADLINE: Duration = Duration::from_secs(10);
 /// First retry backoff step; doubles per retry, plus deterministic
 /// jitter below one step.
 const BACKOFF: Duration = Duration::from_millis(25);
@@ -121,8 +117,6 @@ pub struct GatewaySummary {
     pub forwards: u64,
     /// Forward attempts that were retries.
     pub retries: u64,
-    /// Async jobs resubmitted after their owner died.
-    pub requeued: u64,
     /// Whether everything in flight finished inside the drain timeout.
     pub clean: bool,
 }
@@ -139,37 +133,6 @@ struct Peer {
     probes_failed: AtomicU64,
 }
 
-/// One tracked async job: enough to poll its owner and to resubmit it
-/// elsewhere if the owner dies.
-#[derive(Clone)]
-struct GwJob {
-    /// The raw spec body as submitted (replayed verbatim on requeue).
-    body: Vec<u8>,
-    /// The client's `X-Ptmap-Quality`, re-propagated on requeue.
-    quality: Option<String>,
-    /// Routing key (pipeline request key).
-    key: String,
-    /// Index of the owning peer.
-    peer: usize,
-    /// The job id the owning peer assigned.
-    remote_id: u64,
-    /// The final poll body (id already rewritten), retained so a
-    /// finished job survives its owner dying afterwards.
-    done: Option<String>,
-    /// The gateway-side root span for the job's whole tracked
-    /// lifetime. Requeue/poll activity nests under it; it stays open
-    /// until the trace is snapshotted at completion (an open root
-    /// exports clamped to the trace wall time).
-    span: Arc<Span>,
-}
-
-impl GwJob {
-    /// The job's gateway trace handle (scoped to its root span).
-    fn tracer(&self) -> &Tracer {
-        self.span.tracer()
-    }
-}
-
 /// Everything the gateway's handler threads share.
 struct GatewayState {
     core: Core,
@@ -180,11 +143,7 @@ struct GatewayState {
     traces: TraceStore,
     /// (peer index, new state name) → transition count.
     transitions: Mutex<BTreeMap<(usize, &'static str), u64>>,
-    /// Gateway job id → tracked job.
-    jobs: Mutex<BTreeMap<u64, GwJob>>,
-    next_job_id: AtomicU64,
     retries: AtomicU64,
-    requeued: AtomicU64,
 }
 
 impl GatewayState {
@@ -299,10 +258,7 @@ impl Gateway {
             peers,
             traces: TraceStore::new(),
             transitions: Mutex::new(BTreeMap::new()),
-            jobs: Mutex::new(BTreeMap::new()),
-            next_job_id: AtomicU64::new(1),
             retries: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
             config,
         });
         Ok(Gateway { listener, state })
@@ -350,7 +306,6 @@ impl Gateway {
             requests: state.core.metrics.requests_total(),
             forwards: state.forwards(),
             retries: state.retries.load(Ordering::Relaxed),
-            requeued: state.requeued.load(Ordering::Relaxed),
             clean,
         }
     }
@@ -390,189 +345,18 @@ impl Service for GatewayState {
         }
     }
 
-    /// `POST /jobs`: forward to the key's owner, track the mapping. The
-    /// gateway-side span tree stays open for the job's tracked lifetime,
-    /// so later requeues land inside it.
-    fn submit(&self, request: &Request) -> Response {
-        if self.core.draining() {
-            return draining_response(self);
-        }
-        let (trace_id, tracer) = gateway_tracer(request);
-        let root = tracer.span("gateway");
-        root.attr("endpoint", "jobs_submit");
-        let admission = root.tracer().span("admission");
-        // A submission only has to reach the owner's queue: its hop budget
-        // is the poll deadline at most.
-        let default_timeout = self.config.default_timeout.min(POLL_DEADLINE);
-        let parsed = self
-            .core
-            .parse_job(request, &self.config.base, default_timeout);
-        let (name, key, budget) = match parsed {
-            Ok(r) => (r.job.name, r.key, r.budget),
-            Err(resp) => return resp,
-        };
-        drop(admission);
-        let headers = hop_headers(request);
-        let (resp, idx) = match forward_with_retries(
-            self,
-            &key,
-            "POST",
-            "/jobs",
-            &headers,
-            &request.body,
-            &budget,
-            root.tracer(),
-        ) {
-            Ok(v) => v,
-            Err(err) => return forward_error_response(self, &name, err, Some(&trace_id)),
-        };
-        if resp.status != 202 {
-            return relay(self, resp, idx);
-        }
-        let Some(remote_id) = parse_job_id(&resp.body) else {
-            let message = format!(
-                "peer {} answered 202 without a job id",
-                self.peers[idx].addr
-            );
-            return error_response(502, &message);
-        };
-        let gid = self.next_job_id.fetch_add(1, Ordering::Relaxed);
-        root.attr("job_id", gid);
-        root.attr("peer", self.peers[idx].addr.as_str());
-        self.core.log.info(
-            "job_submitted",
-            Some(&trace_id),
-            "",
-            &[
-                ("job", gid.into()),
-                ("name", name.into()),
-                ("peer", AttrValue::Str(self.peers[idx].addr.clone())),
-            ],
-        );
-        lock_unpoisoned(&self.jobs).insert(
-            gid,
-            GwJob {
-                body: request.body.clone(),
-                quality: request.header("x-ptmap-quality").map(str::to_string),
-                key,
-                peer: idx,
-                remote_id,
-                done: None,
-                span: Arc::new(root),
-            },
-        );
-        Response::json(
-            202,
-            format!(
-                "{{\"id\":{gid},\"state\":\"queued\",\"peer\":{}}}",
-                json_string(&self.peers[idx].addr)
-            ),
-        )
-        .with_header("X-Ptmap-Peer", self.peers[idx].addr.clone())
-        .with_header("X-Ptmap-Trace-Id", trace_id)
-    }
+    /// `GET /jobs/<trace-id>/trace`: one stitched cluster trace. The
+    /// gateway's own span tree (admission, forwards, retries) and the
+    /// daemon's compile tree are merged under the shared trace id: the
+    /// daemon's spans graft onto the winning `forward` span. The gateway
+    /// half comes from the local store; the daemon half is fanned out to
+    /// live (breaker-admitting) peers with each probe bounded by a slice
+    /// of the remaining request budget so one hung peer cannot starve
+    /// the rest of the fan-out.
+    fn trace(&self, trace_id: &str, raw: bool) -> Response {
+        let budget = self.core.root.scoped_child(Some(TRACE_DEADLINE));
 
-    /// `GET /jobs/<id>`: poll through to the owner, requeue if it died.
-    fn poll(&self, gid: u64) -> Response {
-        let Some(job) = lock_unpoisoned(&self.jobs).get(&gid).cloned() else {
-            return error_response(404, &format!("no job {gid}"));
-        };
-        if let Some(done) = &job.done {
-            return Response::json(200, done.clone());
-        }
-        let budget = self.core.root.scoped_child(Some(POLL_DEADLINE));
-        let remote_path = format!("/jobs/{}", job.remote_id);
-        let peer = &self.peers[job.peer];
-        let resp = match forward_once(
-            self,
-            job.peer,
-            "GET",
-            &remote_path,
-            &[],
-            b"",
-            budget.deadline(),
-        ) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.record(job.peer, false);
-                peer.failures.fetch_add(1, Ordering::Relaxed);
-                return match e {
-                    ClientError::Connect(_) => requeue_job(self, gid, &job),
-                    e => error_response(502, &format!("poll forward failed: {e}")),
-                };
-            }
-        };
-        peer.forwards.fetch_add(1, Ordering::Relaxed);
-        match resp.status {
-            200 => {}
-            // A 404 means the owner restarted and lost the job table; treat
-            // it like a dead owner and resubmit.
-            404 => return requeue_job(self, gid, &job),
-            _ => return relay(self, resp, job.peer),
-        }
-        self.record(job.peer, true);
-        let Some(body) = rewrite_job_id(&resp.body_text(), gid) else {
-            return error_response(502, "peer poll body did not parse");
-        };
-        if body.contains("\"state\":\"done\"") {
-            if let Some(tracked) = lock_unpoisoned(&self.jobs).get_mut(&gid) {
-                tracked.done = Some(body.clone());
-            }
-            // Snapshot and retain the gateway-side trace now that the job
-            // reached a terminal state, so a stitched cluster trace is
-            // servable for it.
-            if let Some(trace) = job.tracer().finish() {
-                self.traces.insert(trace);
-            }
-            self.core.log.info(
-                "job_done",
-                job.tracer().trace_id(),
-                "",
-                &[
-                    ("job", gid.into()),
-                    ("peer", AttrValue::Str(peer.addr.clone())),
-                ],
-            );
-        }
-        Response::json(200, body).with_header("X-Ptmap-Peer", peer.addr.clone())
-    }
-
-    /// `GET /jobs/<id>/trace`: one stitched cluster trace. The gateway's
-    /// own span tree (admission, forwards, retries, requeues) and
-    /// the daemon's compile tree are merged under the shared trace id:
-    /// the daemon's spans graft onto the winning `forward` span. A
-    /// numeric id resolves through the tracked async job to its owner;
-    /// otherwise the id is a trace id — served from the local store and,
-    /// for the daemon half, fanned out to live (breaker-admitting) peers
-    /// with each probe bounded by a slice of the remaining request budget
-    /// so one hung peer cannot starve the rest of the fan-out.
-    fn trace(&self, id_text: &str, raw: bool) -> Response {
-        let budget = self.core.root.scoped_child(Some(POLL_DEADLINE));
-
-        if let Ok(gid) = id_text.parse::<u64>() {
-            let Some(job) = lock_unpoisoned(&self.jobs).get(&gid).cloned() else {
-                return error_response(404, &format!("no job {gid}"));
-            };
-            let remote = format!("/jobs/{}/trace?format=raw", job.remote_id);
-            let daemon = forward_once(self, job.peer, "GET", &remote, &[], b"", budget.deadline())
-                .ok()
-                .as_ref()
-                .and_then(parse_raw_trace);
-            // The stored snapshot (taken at poll-done) is preferred; a
-            // still-running job gets a live snapshot of its open tree.
-            let gateway = match job
-                .tracer()
-                .trace_id()
-                .and_then(|id| self.traces.by_trace_id(id))
-            {
-                Some(stored) => Some(stored.raw.as_ref().clone()),
-                None => job.tracer().finish(),
-            };
-            return trace_response(gateway, daemon, raw)
-                .unwrap_or_else(|| error_response(404, &format!("no trace for job {gid}")));
-        }
-
-        let stored = self.traces.by_trace_id(id_text);
+        let stored = self.traces.by_trace_id(trace_id);
         let gateway = stored.map(|s| s.raw.as_ref().clone());
         let mut daemon: Option<Trace> = None;
         let peers = self.available_peers();
@@ -583,11 +367,11 @@ impl Service for GatewayState {
             }
             // Each probe gets an even slice of what is left (with a small
             // floor), never the whole remaining budget.
-            let left = budget.remaining().unwrap_or(POLL_DEADLINE);
+            let left = budget.remaining().unwrap_or(TRACE_DEADLINE);
             let slice = (left / (total - i) as u32)
                 .max(Duration::from_millis(100))
                 .min(left);
-            let remote = format!("/jobs/{id_text}/trace?format=raw");
+            let remote = format!("/jobs/{trace_id}/trace?format=raw");
             let deadline = Some(Instant::now() + slice);
             if let Ok(resp) = forward_once(self, idx, "GET", &remote, &[], b"", deadline) {
                 if let Some(t) = parse_raw_trace(&resp) {
@@ -597,7 +381,7 @@ impl Service for GatewayState {
             }
         }
         trace_response(gateway, daemon, raw)
-            .unwrap_or_else(|| error_response(404, &format!("no trace {id_text}")))
+            .unwrap_or_else(|| error_response(404, &format!("no trace {trace_id}")))
     }
 
     fn extra_path(&self) -> Option<&'static str> {
@@ -655,10 +439,6 @@ impl Service for GatewayState {
                 "vnodes_per_peer".to_string(),
                 Value::UInt(crate::shard::VNODES as u64),
             ),
-            (
-                "jobs_tracked".to_string(),
-                Value::UInt(lock_unpoisoned(&self.jobs).len() as u64),
-            ),
             ("draining".to_string(), Value::Bool(self.core.draining())),
         ]);
         Response::json(200, serde_json::to_string(&doc).unwrap_or_default())
@@ -683,7 +463,6 @@ impl Service for GatewayState {
         vec![
             ("forwards", self.forwards().into()),
             ("retries", self.retries.load(Ordering::Relaxed).into()),
-            ("requeued", self.requeued.load(Ordering::Relaxed).into()),
         ]
     }
 }
@@ -757,20 +536,17 @@ fn forward_once(
     client::request(&peer.addr, method, path, &borrowed, body, deadline)
 }
 
-/// Forwards with bounded retries, resharding to the next replica after
-/// each transport failure (or peer 503) with exponential backoff and
-/// deterministic jitter, all inside `budget`. Returns the first real
-/// response and the peer index that produced it. Every attempt opens
-/// a `forward` child span under `tracer` carrying the peer, attempt
-/// number, outcome, and any backoff that followed; the attempt that
-/// produced the relayed response is marked `winner=true` (the stitch
-/// anchor).
-#[allow(clippy::too_many_arguments)]
+/// Forwards a `POST /compile` with bounded retries, resharding to the
+/// next replica after each transport failure (or peer 503) with
+/// exponential backoff and deterministic jitter, all inside `budget`.
+/// Returns the first real response and the peer index that produced
+/// it. Every attempt opens a `forward` child span under `tracer`
+/// carrying the peer, attempt number, outcome, and any backoff that
+/// followed; the attempt that produced the relayed response is marked
+/// `winner=true` (the stitch anchor).
 fn forward_with_retries(
     state: &GatewayState,
     key: &str,
-    method: &str,
-    path: &str,
     headers: &[(String, String)],
     body: &[u8],
     budget: &Budget,
@@ -819,8 +595,8 @@ fn forward_with_retries(
         match forward_once(
             state,
             idx,
-            method,
-            path,
+            "POST",
+            "/compile",
             &hop_headers,
             body,
             budget.deadline(),
@@ -1004,16 +780,8 @@ fn compile_via_cluster(
     {
         headers.push(("x-ptmap-trace-id".to_string(), trace_id.to_string()));
     }
-    let forwarded = forward_with_retries(
-        state,
-        &key,
-        "POST",
-        "/compile",
-        &headers,
-        &request.body,
-        &budget,
-        root.tracer(),
-    );
+    let forwarded =
+        forward_with_retries(state, &key, &headers, &request.body, &budget, root.tracer());
     match forwarded {
         Ok((resp, idx)) => {
             state.core.log.info(
@@ -1032,118 +800,8 @@ fn compile_via_cluster(
     }
 }
 
-/// Extracts `id` from a submit/poll body.
-fn parse_job_id(body: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let value: Value = serde_json::from_str(text).ok()?;
-    match value.get("id") {
-        Some(Value::UInt(u)) => Some(*u),
-        Some(Value::Int(i)) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
-
-/// Rewrites the `id` field of a poll body to the gateway's job id.
-fn rewrite_job_id(body: &str, gid: u64) -> Option<String> {
-    let mut value: Value = serde_json::from_str(body).ok()?;
-    if let Value::Object(fields) = &mut value {
-        for (name, field) in fields.iter_mut() {
-            if name == "id" {
-                *field = Value::UInt(gid);
-            }
-        }
-    }
-    serde_json::to_string(&value).ok()
-}
-
-/// Resubmits a tracked job whose owner is unreachable to the next live
-/// replica. Returns the poll-shaped response for the client. The
-/// attempt records a `requeue` span inside the job's still-open
-/// gateway trace plus a correlated event-log line.
-fn requeue_job(state: &GatewayState, gid: u64, job: &GwJob) -> Response {
-    let span = job.tracer().span("requeue");
-    span.attr("job_id", gid);
-    span.attr("from", state.peers[job.peer].addr.as_str());
-    let mut headers = vec![("Content-Type".to_string(), "application/json".to_string())];
-    if let Some(q) = &job.quality {
-        headers.push(("x-ptmap-quality".to_string(), q.clone()));
-    }
-    let budget = state.core.root.scoped_child(Some(POLL_DEADLINE));
-    for candidate in state.candidates(&job.key, 0) {
-        if candidate == job.peer {
-            continue; // the peer that just failed
-        }
-        let result = forward_once(
-            state,
-            candidate,
-            "POST",
-            "/jobs",
-            &headers,
-            &job.body,
-            budget.deadline(),
-        );
-        let Ok(resp) = result else {
-            state.record(candidate, false);
-            continue;
-        };
-        state.peers[candidate]
-            .forwards
-            .fetch_add(1, Ordering::Relaxed);
-        state.record(candidate, true);
-        if resp.status != 202 {
-            continue; // queue full or draining there; try further along
-        }
-        let Some(remote_id) = parse_job_id(&resp.body) else {
-            continue;
-        };
-        if let Some(tracked) = lock_unpoisoned(&state.jobs).get_mut(&gid) {
-            tracked.peer = candidate;
-            tracked.remote_id = remote_id;
-        }
-        state.requeued.fetch_add(1, Ordering::Relaxed);
-        span.attr("to", state.peers[candidate].addr.as_str());
-        span.attr("remote_id", remote_id);
-        state.core.log.warn(
-            "job_requeued",
-            job.tracer().trace_id(),
-            "owner unreachable; job resubmitted",
-            &[
-                ("job", gid.into()),
-                ("from", AttrValue::Str(state.peers[job.peer].addr.clone())),
-                ("to", AttrValue::Str(state.peers[candidate].addr.clone())),
-            ],
-        );
-        return Response::json(
-            202,
-            format!(
-                "{{\"id\":{gid},\"state\":\"queued\",\"requeued\":true,\"peer\":{}}}",
-                json_string(&state.peers[candidate].addr)
-            ),
-        )
-        .with_header("X-Ptmap-Peer", state.peers[candidate].addr.clone());
-    }
-    state.core.metrics.reject("unreachable");
-    span.attr("error", "no replica accepted the requeue");
-    state.core.log.error(
-        "requeue_failed",
-        job.tracer().trace_id(),
-        "owner unreachable and no replica accepted a requeue",
-        &[("job", gid.into())],
-    );
-    with_retry_after(
-        Response::json(
-            503,
-            format!(
-                "{{\"error\":\"job {gid} owner unreachable and no replica accepted a requeue\",\
-                 \"reason\":\"unreachable\"}}"
-            ),
-        ),
-        1,
-    )
-}
-
 /// Parses a raw daemon [`Trace`] out of a peer's
-/// `/jobs/<id>/trace?format=raw` response.
+/// `/jobs/<trace-id>/trace?format=raw` response.
 fn parse_raw_trace(resp: &PeerResponse) -> Option<Trace> {
     if resp.status != 200 {
         return None;
@@ -1167,12 +825,11 @@ fn trace_response(gateway: Option<Trace>, daemon: Option<Trace>, raw: bool) -> O
 }
 
 /// The scalar singletons re-exported per peer in the cluster rollup.
-const ROLLUP_METRICS: [(&str, &str); 5] = [
+const ROLLUP_METRICS: [(&str, &str); 4] = [
     (
         "ptmap_compiles_started_total",
         "ptmap_cluster_compiles_started_total",
     ),
-    ("ptmap_queue_depth", "ptmap_cluster_queue_depth"),
     ("ptmap_inflight_compiles", "ptmap_cluster_inflight_compiles"),
     ("ptmap_cache_hits_total", "ptmap_cluster_cache_hits_total"),
     (
@@ -1259,11 +916,6 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
             available,
         ),
         (
-            "ptmap_gateway_jobs_tracked",
-            "Async jobs the gateway is tracking.",
-            lock_unpoisoned(&state.jobs).len() as u64,
-        ),
-        (
             "ptmap_gateway_draining",
             "1 while the gateway is draining for shutdown.",
             u64::from(state.core.draining()),
@@ -1271,20 +923,12 @@ fn render_gateway_metrics(state: &GatewayState, rollup: bool) -> String {
     ] {
         w.scalar(name, Kind::Gauge, help, value);
     }
-    for (name, help, value) in [
-        (
-            "ptmap_gateway_retries_total",
-            "Forward attempts that were retries.",
-            &state.retries,
-        ),
-        (
-            "ptmap_gateway_jobs_requeued_total",
-            "Async jobs resubmitted after their owner died.",
-            &state.requeued,
-        ),
-    ] {
-        w.scalar(name, Kind::Counter, help, value.load(Ordering::Relaxed));
-    }
+    w.scalar(
+        "ptmap_gateway_retries_total",
+        Kind::Counter,
+        "Forward attempts that were retries.",
+        state.retries.load(Ordering::Relaxed),
+    );
 
     if rollup {
         render_cluster_rollup(state, &mut w);
@@ -1370,17 +1014,6 @@ mod tests {
             Err(e) => e,
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn job_id_parsing_and_rewriting() {
-        assert_eq!(parse_job_id(b"{\"id\":7,\"state\":\"queued\"}"), Some(7));
-        assert_eq!(parse_job_id(b"{\"state\":\"queued\"}"), None);
-        assert_eq!(parse_job_id(b"not json"), None);
-
-        let rewritten = rewrite_job_id("{\"id\":7,\"state\":\"done\"}", 42).unwrap();
-        assert!(rewritten.contains("\"id\":42"), "{rewritten}");
-        assert!(rewritten.contains("\"state\":\"done\""));
     }
 
     #[test]

@@ -3,18 +3,16 @@
 //! A one-shot `ptmap batch` process pays cache warm-up, manifest
 //! parsing, and thread-pool spin-up on every invocation. This crate
 //! keeps one [`ReportCache`](ptmap_pipeline::ReportCache), one
-//! [`Recorder`](ptmap_pipeline::Recorder), and one worker pool resident
+//! [`Recorder`](ptmap_pipeline::Recorder), and one flight table resident
 //! behind a hand-rolled (std-only, no tokio/hyper) HTTP/1.1 server:
 //!
-//! | Endpoint          | Semantics                                          |
-//! |-------------------|----------------------------------------------------|
-//! | `POST /compile`   | synchronous compile of one job spec                |
-//! | `POST /jobs`      | async submit into a bounded queue (`202` + id)     |
-//! | `GET /jobs/<id>`  | poll an async job (`queued`/`running`/`done`)      |
-//! | `GET /jobs/<id>/trace` | Chrome trace-event JSON for a retained trace  |
-//! | `GET /metrics`    | Prometheus text: pipeline spans/counters + service |
-//! | `GET /debug/events` | flight recorder: last N structured events (NDJSON) |
-//! | `GET /healthz`    | readiness (cache dir writable, workers alive)      |
+//! | Endpoint                     | Semantics                                          |
+//! |------------------------------|----------------------------------------------------|
+//! | `POST /compile`              | synchronous compile of one job spec                |
+//! | `GET /jobs/<trace-id>/trace` | Chrome trace-event JSON for a retained trace       |
+//! | `GET /metrics`               | Prometheus text: pipeline spans/counters + service |
+//! | `GET /debug/events`          | flight recorder: last N structured events (NDJSON) |
+//! | `GET /healthz`               | readiness (cache dir writable)                     |
 //!
 //! Three properties make it a *service* rather than a socket in front
 //! of the batch CLI:
@@ -25,10 +23,11 @@
 //! * **Governor-backed admission control** — every request derives a
 //!   [`Budget`](ptmap_governor::Budget) scope from its
 //!   `X-Ptmap-Deadline-Ms` header and the server defaults; an expired
-//!   deadline is rejected at admission without occupying a worker, a
-//!   client disconnect cancels the scope (unless other waiters are
-//!   coalesced onto it), and a hung mapper run dies at the deadline
-//!   instead of pinning a worker forever.
+//!   deadline is rejected at admission without occupying a compile
+//!   slot, at most `workers` leader compiles run at once (beyond that a
+//!   new flight gets `503 overloaded`), a client disconnect cancels the
+//!   scope (unless other waiters are coalesced onto it), and a hung
+//!   mapper run dies at the deadline instead of pinning a slot forever.
 //! * **Graceful drain** — SIGTERM/ctrl-c stops accepting, finishes (or
 //!   cancels, after the drain timeout, via the server-wide root budget)
 //!   everything in flight, flushes metrics, and exits 0.
@@ -38,7 +37,6 @@ pub mod coalesce;
 pub(crate) mod events;
 pub mod gateway;
 pub mod http;
-pub mod jobs;
 pub mod loadtest;
 pub mod metrics;
 pub mod server;
@@ -49,7 +47,6 @@ pub mod traces;
 
 pub use coalesce::Coalescer;
 pub use gateway::{Gateway, GatewayConfig, GatewaySummary};
-pub use jobs::{JobState, JobTable};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use metrics::ServiceMetrics;
 pub use server::{DrainSummary, ServeConfig, Server};

@@ -31,7 +31,7 @@ pub struct ServiceMetrics {
     /// endpoint → latency histogram.
     latency: Mutex<BTreeMap<String, Histogram>>,
     /// Admission rejections by reason (`deadline`, `capacity`,
-    /// `queue-full`, `draining`).
+    /// `draining`; the gateway adds `no-peers` and `unreachable`).
     rejects: Mutex<BTreeMap<String, u64>>,
     /// Underlying compiles started (leader flights).
     compiles: AtomicU64,

@@ -1,9 +1,9 @@
-//! The daemon: compile endpoints and worker pool.
+//! The daemon: the compile endpoint and its admission bound.
 //!
 //! One [`ServerState`] holds everything resident: the report cache,
-//! the pipeline recorder, the flight table and the async job queue,
-//! behind the shared `service` (`service.rs`) skeleton that owns the
-//! accept loop, routing plumbing and drain. Every request compiles
+//! the pipeline recorder and the flight table, behind the shared
+//! `service` (`service.rs`) skeleton that owns the accept loop,
+//! routing plumbing and drain. Every request compiles
 //! under a *scope* of the skeleton's root
 //! [`Budget`](ptmap_governor::Budget): cancelling a request (client
 //! disconnect, per-request deadline) never touches the root, while
@@ -12,20 +12,16 @@
 
 use crate::coalesce::{Coalescer, Flight, Join};
 use crate::http::{Request, Response};
-use crate::jobs::{JobState, JobTable, SubmitError};
 use crate::service::{
-    error_outcome, error_response, json_string, outcome_response, outcome_status, parse_headers,
-    parse_spec, with_retry_after, Core, Service, ServiceHandle,
+    error_outcome, error_response, json_string, outcome_response, outcome_status, with_retry_after,
+    Core, Service, ServiceHandle,
 };
 use crate::traces::TraceStore;
 use ptmap_core::PtMapConfig;
-use ptmap_pipeline::{
-    compile_job_traced, request_key, BatchConfig, Job, JobOutcome, JobSpec, Recorder, ReportCache,
-};
+use ptmap_pipeline::{compile_job_traced, BatchConfig, Job, JobOutcome, Recorder, ReportCache};
 use ptmap_trace::obs::{Level, LogFormat};
 use ptmap_trace::prom::{Exposition, Kind};
 use ptmap_trace::{AttrValue, SamplePolicy, Tracer};
-use serde_json::Value;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -39,13 +35,10 @@ pub struct ServeConfig {
     /// Bind address (`127.0.0.1:7199` by default; port `0` asks the OS
     /// for an ephemeral port — the chosen address is printed on boot).
     pub addr: String,
-    /// Async worker threads draining the `POST /jobs` queue.
-    pub workers: usize,
-    /// Bound on queued (not yet running) async jobs.
-    pub queue_cap: usize,
     /// Most leader compiles running at once; beyond this, new flights
-    /// are refused with `503` (admission control).
-    pub max_inflight: usize,
+    /// are refused with `503 overloaded` (admission control). Coalesced
+    /// followers do not count.
+    pub workers: usize,
     /// Persistent report cache directory (`None` = in-memory).
     pub cache_dir: Option<PathBuf>,
     /// Base compiler configuration shared by every request.
@@ -59,7 +52,7 @@ pub struct ServeConfig {
     pub drain_timeout: Duration,
     /// Head-based trace sampling probability in `[0, 1]`: the fraction
     /// of compiles whose trace is retained in the ring buffer behind
-    /// `GET /jobs/<id>/trace`.
+    /// `GET /jobs/<trace-id>/trace`.
     pub trace_sample: f64,
     /// Slow-compile threshold: a compile slower than this keeps its
     /// trace even when sampled out, so outliers are always inspectable.
@@ -77,9 +70,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:7199".to_string(),
-            workers: 2,
-            queue_cap: 64,
-            max_inflight: 8,
+            workers: 8,
             cache_dir: None,
             base: PtMapConfig::default(),
             max_retries: 2,
@@ -114,13 +105,11 @@ pub(crate) struct ServerState {
     cache: ReportCache,
     recorder: Recorder,
     coalescer: Arc<Coalescer>,
-    jobs: JobTable,
-    /// Ring buffer of retained compile traces (`GET /jobs/<id>/trace`).
+    /// Ring buffer of retained compile traces
+    /// (`GET /jobs/<trace-id>/trace`).
     traces: TraceStore,
     /// Leader compiles currently running.
     inflight: AtomicUsize,
-    /// Async worker threads currently alive.
-    workers_alive: AtomicUsize,
 }
 
 /// The bound, not-yet-running daemon.
@@ -190,10 +179,8 @@ impl Server {
             cache,
             recorder: Recorder::new(),
             coalescer: Arc::new(Coalescer::new()),
-            jobs: JobTable::new(config.queue_cap.max(1)),
             traces: TraceStore::new(),
             inflight: AtomicUsize::new(0),
-            workers_alive: AtomicUsize::new(0),
             config,
         });
         Ok(Server { listener, state })
@@ -213,31 +200,7 @@ impl Server {
     /// then drains and returns the lifetime summary.
     pub fn run(self) -> DrainSummary {
         let state = Arc::clone(&self.state);
-
-        // The async worker pool.
-        let mut workers = Vec::new();
-        for i in 0..state.config.workers {
-            let state = Arc::clone(&state);
-            state.workers_alive.fetch_add(1, Ordering::AcqRel);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("ptmap-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(queued) = state.jobs.next() {
-                            let outcome = run_async_job(&state, &queued.spec);
-                            state.jobs.finish(queued.id, outcome);
-                        }
-                        state.workers_alive.fetch_sub(1, Ordering::AcqRel);
-                    })
-                    .expect("spawn worker"),
-            );
-        }
-
-        let clean = crate::service::serve(self.listener, Arc::clone(&state), || {
-            for worker in workers {
-                let _ = worker.join();
-            }
-        });
+        let clean = crate::service::serve(self.listener, Arc::clone(&state), || {});
         DrainSummary {
             requests: state.core.metrics.requests_total(),
             compiles: state.core.metrics.compiles_total(),
@@ -269,11 +232,6 @@ impl Service for ServerState {
         );
         for (name, help, value) in [
             (
-                "ptmap_queue_depth",
-                "Async jobs waiting in the bounded queue.",
-                self.jobs.depth(),
-            ),
-            (
                 "ptmap_inflight_compiles",
                 "Leader compiles currently running.",
                 self.inflight.load(Ordering::Relaxed),
@@ -282,11 +240,6 @@ impl Service for ServerState {
                 "ptmap_inflight_flights",
                 "Coalesced flights currently in the table.",
                 self.coalescer.in_flight(),
-            ),
-            (
-                "ptmap_workers_alive",
-                "Async worker threads alive.",
-                self.workers_alive.load(Ordering::Relaxed),
             ),
             (
                 "ptmap_draining",
@@ -390,7 +343,7 @@ impl Service for ServerState {
                 // Capacity gate applies to new flights only — followers
                 // ride along for free.
                 let previous = self.inflight.fetch_add(1, Ordering::AcqRel);
-                if previous >= self.config.max_inflight {
+                if previous >= self.config.workers {
                     self.inflight.fetch_sub(1, Ordering::AcqRel);
                     self.core.metrics.reject("capacity");
                     let outcome = error_outcome(
@@ -398,7 +351,7 @@ impl Service for ServerState {
                         "overloaded",
                         format!(
                             "{} compiles already in flight (max {})",
-                            previous, self.config.max_inflight
+                            previous, self.config.workers
                         ),
                     );
                     self.coalescer.complete(&key, &flight, outcome.clone());
@@ -408,7 +361,7 @@ impl Service for ServerState {
                 }
                 let _watcher = spawn_disconnect_watcher(self, stream, &flight);
                 let trace_id = request.header("x-ptmap-trace-id");
-                let outcome = lead(self, &job, base, &key, &flight, trace_id, false);
+                let outcome = lead(self, &job, base, &key, &flight, trace_id);
                 with_trace_header(outcome_response(&outcome), &outcome)
                     .with_header("X-Ptmap-Quality", quality.as_str().to_string())
             }
@@ -439,98 +392,13 @@ impl Service for ServerState {
         }
     }
 
-    /// `POST /jobs`: bounded async submission.
-    ///
-    /// The compile itself runs later under server defaults, but the
-    /// request headers are validated *now*: a malformed
-    /// `X-Ptmap-Deadline-Ms` or `X-Ptmap-Quality` used to be silently
-    /// ignored here (unlike `/compile`, which rejects it), so a client
-    /// with a typo'd header got a `202` and no signal that its header did
-    /// nothing. Malformed values are a structured `400` at submission;
-    /// well-formed values are accepted (the async path runs under server
-    /// defaults either way, which the docs state).
-    fn submit(&self, request: &Request) -> Response {
-        let parsed = parse_headers(request, &self.config.base, self.config.default_timeout)
-            .and_then(|_| parse_spec(&request.body));
-        let spec = match parsed {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        match self.jobs.submit(spec) {
-            Ok(id) => Response::json(202, format!("{{\"id\":{id},\"state\":\"queued\"}}")),
-            Err(SubmitError::Full) => {
-                self.core.metrics.reject("queue-full");
-                with_retry_after(
-                    Response::json(
-                        503,
-                        format!(
-                            "{{\"error\":\"queue full ({} jobs)\",\"reason\":\"queue-full\"}}",
-                            self.config.queue_cap.max(1)
-                        ),
-                    ),
-                    1,
-                )
-            }
-            Err(SubmitError::Draining) => {
-                self.core.metrics.reject("draining");
-                with_retry_after(
-                    Response::json(
-                        503,
-                        "{\"error\":\"server is draining\",\"reason\":\"draining\"}".to_string(),
-                    ),
-                    self.config.drain_timeout.as_secs(),
-                )
-            }
-        }
-    }
-
-    /// `GET /jobs/<id>`: poll an async job.
-    fn poll(&self, id: u64) -> Response {
-        let Some(status) = self.jobs.status(id) else {
-            return error_response(404, &format!("no job {id}"));
-        };
-        let mut fields = vec![
-            ("id".to_string(), Value::UInt(id)),
-            ("state".to_string(), Value::Str(status.name().to_string())),
-        ];
-        if let JobState::Done(outcome) = &status {
-            let value = serde_json::to_value(outcome.as_ref()).unwrap_or(Value::Null);
-            fields.push(("outcome".to_string(), value));
-        }
-        let body =
-            serde_json::to_string(&Value::Object(fields)).unwrap_or_else(|_| "{}".to_string());
-        Response::json(200, body)
-    }
-
-    /// `GET /jobs/<id>/trace`: the retained trace for a compile.
-    ///
-    /// `<id>` is either a numeric async-job id — resolved to a trace id
-    /// through the job table's completed outcome — or a trace id taken
-    /// from an `X-Ptmap-Trace-Id` response header. The default rendering
-    /// is Chrome trace-event JSON; `?format=raw` returns the serialized
-    /// span tree instead, which is what the gateway fetches to stitch a
-    /// cluster-wide trace.
-    fn trace(&self, id_text: &str, raw: bool) -> Response {
-        // An exact trace-id match wins (it is unambiguous even when the id
-        // happens to be all digits); numeric ids then resolve through the
-        // async job table.
-        let trace_id = match self.traces.by_trace_id(id_text) {
-            Some(_) => id_text.to_string(),
-            None => match id_text.parse::<u64>() {
-                Err(_) => id_text.to_string(),
-                Ok(job_id) => match self.jobs.status(job_id) {
-                    None => return error_response(404, &format!("no job {job_id}")),
-                    Some(JobState::Done(outcome)) => match outcome.trace_id {
-                        Some(id) => id,
-                        None => return error_response(404, &format!("job {job_id} has no trace")),
-                    },
-                    Some(_) => {
-                        return error_response(404, &format!("job {job_id} is not done yet"))
-                    }
-                },
-            },
-        };
-        match self.traces.by_trace_id(&trace_id) {
+    /// `GET /jobs/<trace-id>/trace`: the retained trace of a compile,
+    /// by the id its `X-Ptmap-Trace-Id` response header carried. The
+    /// default rendering is Chrome trace-event JSON; `?format=raw`
+    /// returns the serialized span tree instead, which is what the
+    /// gateway fetches to stitch a cluster-wide trace.
+    fn trace(&self, trace_id: &str, raw: bool) -> Response {
+        match self.traces.by_trace_id(trace_id) {
             Some(stored) => {
                 let body = if raw {
                     serde_json::to_string(stored.raw.as_ref()).unwrap_or_else(|_| "{}".to_string())
@@ -545,11 +413,6 @@ impl Service for ServerState {
 
     /// `GET /healthz`: readiness.
     fn healthz(&self) -> Response {
-        // Workers configured but all dead means async submissions would
-        // queue forever.
-        if self.config.workers > 0 && self.workers_alive.load(Ordering::Acquire) == 0 {
-            return Response::json(503, "{\"status\":\"no workers alive\"}".to_string());
-        }
         // The disk cache must stay writable; probe with a real write.
         if let Some(dir) = self.cache.dir() {
             let probe = dir.join(".healthz-probe");
@@ -567,14 +430,6 @@ impl Service for ServerState {
             ("compiles", self.core.metrics.compiles_total().into()),
             ("coalesced", self.coalescer.coalesced_total().into()),
         ]
-    }
-
-    fn busy(&self) -> bool {
-        self.jobs.active() > 0
-    }
-
-    fn begin_drain(&self) {
-        self.jobs.close();
     }
 
     fn cancel(&self) {
@@ -622,13 +477,12 @@ fn spawn_disconnect_watcher(
     settled
 }
 
-/// The leader half of a flight, shared by `/compile` and the async
-/// workers. The caller has taken an in-flight slot; this releases it
-/// once the compile ends, even by panic. The trace is retained *before*
-/// the outcome is published, so a follower or poller acting on the
-/// outcome's trace id finds it. A client-supplied `trace_id` is adopted
-/// verbatim and force-keeps the trace (the client asked for this one
-/// by name); otherwise the leader mints one.
+/// The leader half of a flight. The caller has taken an in-flight
+/// slot; this releases it once the compile ends, even by panic. The
+/// trace is retained *before* the outcome is published, so a follower
+/// acting on the outcome's trace id finds it. A client-supplied
+/// `trace_id` is adopted verbatim and force-keeps the trace (the client
+/// asked for this one by name); otherwise the leader mints one.
 fn lead(
     state: &ServerState,
     job: &Job,
@@ -636,7 +490,6 @@ fn lead(
     key: &str,
     flight: &Flight,
     trace_id: Option<&str>,
-    is_async: bool,
 ) -> JobOutcome {
     let guard = InflightGuard { state };
     let t0 = Instant::now();
@@ -664,57 +517,19 @@ fn lead(
         state.core.metrics.compile_started();
     }
     store_trace(state, &tracer, trace_id.is_some(), t0.elapsed());
-    let mut fields = vec![
+    let fields = [
         ("name", AttrValue::Str(job.name.clone())),
         ("status", u64::from(outcome_status(&outcome)).into()),
         ("cache_hit", outcome.cache_hit.into()),
         ("retries", u64::from(outcome.retries).into()),
+        ("seconds", t0.elapsed().as_secs_f64().into()),
     ];
-    if is_async {
-        fields.push(("async", true.into()));
-    }
-    fields.push(("seconds", t0.elapsed().as_secs_f64().into()));
     state
         .core
         .log
         .info("compile", outcome.trace_id.as_deref(), "", &fields);
     state.coalescer.complete(key, flight, outcome.clone());
     outcome
-}
-
-/// An async job: resolve, coalesce, compile under server defaults. No
-/// disconnect watcher: the submitter polls; nobody is on a socket.
-fn run_async_job(state: &ServerState, spec: &JobSpec) -> JobOutcome {
-    let job = match Job::resolve(spec) {
-        Ok(j) => j,
-        Err(e) => {
-            let name = spec.name.clone().unwrap_or_else(|| spec.kernel.clone());
-            return error_outcome(&name, "error", e);
-        }
-    };
-    let budget = state
-        .core
-        .root
-        .scoped_child(Some(state.config.default_timeout));
-    let key = request_key(&job, &state.config.base);
-    match state.coalescer.join(&key, || budget.clone()) {
-        Join::Leader(flight) => {
-            state.inflight.fetch_add(1, Ordering::AcqRel);
-            let base = state.config.base.clone();
-            lead(state, &job, base, &key, &flight, None, true)
-        }
-        Join::Follower(flight) => match flight.wait(budget.deadline()) {
-            Some(outcome) => outcome,
-            None => {
-                state.coalescer.detach(&flight);
-                error_outcome(
-                    &job.name,
-                    "timeout",
-                    "deadline expired while waiting for in-flight compile".to_string(),
-                )
-            }
-        },
-    }
 }
 
 #[cfg(test)]
@@ -758,7 +573,6 @@ mod tests {
         assert!(text.contains("ptmap_admission_rejects_total{reason=\"deadline\"} 1"));
         assert!(text.contains("\nptmap_compiles_started_total 1\n"));
         assert!(text.contains("\nptmap_coalesced_requests_total 0\n"));
-        assert!(text.contains("\nptmap_queue_depth 0\n"));
         assert!(text.contains("\nptmap_trace_store_entries 0\n"));
         assert!(text.contains("\nptmap_cache_hits_total 0\n"));
         assert!(text.contains("ptmap_stage_seconds_total{stage=\"map\"} 1.25\n"));

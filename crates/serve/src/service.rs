@@ -3,7 +3,7 @@
 //! Both are the same kind of process: a blocking accept loop that
 //! hands each connection to its own thread, one request per connection,
 //! a router whose plumbing endpoints (`/metrics`, `/debug/events`,
-//! `/healthz`, the `/jobs/<id>` family, the 404/405 fallbacks) behave
+//! `/healthz`, `/jobs/<trace-id>/trace`, the 404/405 fallbacks) behave
 //! identically, and a drain that stops accepting, waits for open
 //! connections, then cancels stragglers through the root [`Budget`].
 //! A stop watcher thread ends the accept loop: once a shutdown is
@@ -38,12 +38,8 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// `POST /compile`; `stream` lets the daemon watch for a client
     /// disconnect while it compiles.
     fn compile(&self, request: &Request, stream: &TcpStream) -> Response;
-    /// `POST /jobs`.
-    fn submit(&self, request: &Request) -> Response;
-    /// `GET /jobs/<id>`.
-    fn poll(&self, id: u64) -> Response;
-    /// `GET /jobs/<id>/trace` (non-empty `id`); `raw`: `?format=raw`.
-    fn trace(&self, id: &str, raw: bool) -> Response;
+    /// `GET /jobs/<trace-id>/trace` (non-empty id); `raw`: `?format=raw`.
+    fn trace(&self, trace_id: &str, raw: bool) -> Response;
     /// The service's one extra `GET` endpoint, if it has one
     /// (`/cluster`).
     fn extra_path(&self) -> Option<&'static str> {
@@ -59,12 +55,6 @@ pub(crate) trait Service: Send + Sync + 'static {
     fn metrics_text(&self, live: bool) -> String;
     /// Service counters for the final `drained` event.
     fn summary(&self) -> Vec<(&'static str, AttrValue)>;
-    /// Whether async jobs are queued or running (drain waits for them).
-    fn busy(&self) -> bool {
-        false
-    }
-    /// Drain began: stop taking background work.
-    fn begin_drain(&self) {}
     /// Drain timed out: cancel what the root budget does not reach.
     fn cancel(&self) {}
 }
@@ -201,7 +191,7 @@ pub(crate) struct JobRequest {
 /// the `X-Ptmap-Quality` backend override folded in. The override lands
 /// *before* any request key is computed, so an exact-tier request never
 /// coalesces onto (or reads the cache entry of) a heuristic one.
-pub(crate) fn parse_headers(
+fn parse_headers(
     request: &Request,
     base: &PtMapConfig,
     default_timeout: Duration,
@@ -226,7 +216,7 @@ pub(crate) fn parse_headers(
 }
 
 /// Parses the request body as a job spec.
-pub(crate) fn parse_spec(body: &[u8]) -> Result<JobSpec, Response> {
+fn parse_spec(body: &[u8]) -> Result<JobSpec, Response> {
     let text = std::str::from_utf8(body)
         .map_err(|_| bad_request("bad-spec", "body is not UTF-8".to_string()))?;
     serde_json::from_str::<JobSpec>(text)
@@ -376,8 +366,7 @@ pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl
     drop(listener);
     core.draining.store(true, Ordering::Release);
     let _ = watcher.join();
-    state.begin_drain();
-    let mut clean = wait_idle(&*state, Instant::now() + core.drain_timeout);
+    let mut clean = wait_idle(core, core.drain_timeout);
     if !clean {
         core.log.warn(
             "drain_timeout",
@@ -389,7 +378,7 @@ pub(crate) fn serve<S: Service>(listener: TcpListener, state: Arc<S>, join: impl
         state.cancel();
         // Cancellation is cooperative; give work a bounded window to
         // observe it.
-        clean = wait_idle(&*state, Instant::now() + Duration::from_secs(10));
+        clean = wait_idle(core, Duration::from_secs(10));
     }
     join();
 
@@ -443,28 +432,15 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     SocketAddr::new(ip, bound.port())
 }
 
-/// Waits until no connection is open and the service is not busy, or
-/// `deadline` passes. Returns whether idle was reached.
-fn wait_idle<S: Service>(state: &S, deadline: Instant) -> bool {
-    let core = state.core();
-    let mut conns = lock_unpoisoned(&core.conns);
-    loop {
-        if *conns == 0 && !state.busy() {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        // The condvar covers connection changes; background work is
-        // picked up by the bounded wait.
-        let wait = (deadline - now).min(Duration::from_millis(50));
-        conns = core
-            .conns_cv
-            .wait_timeout(conns, wait)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
-    }
+/// Waits until no connection is open, or `timeout` passes. Returns
+/// whether idle was reached.
+fn wait_idle(core: &Core, timeout: Duration) -> bool {
+    let conns = lock_unpoisoned(&core.conns);
+    let (conns, _) = core
+        .conns_cv
+        .wait_timeout_while(conns, timeout, |conns| *conns > 0)
+        .unwrap_or_else(PoisonError::into_inner);
+    *conns == 0
 }
 
 /// Reads, routes, answers, closes.
@@ -502,7 +478,8 @@ fn handle_connection<S: Service>(state: &S, mut stream: TcpStream) {
 /// and the response.
 fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'static str, Response) {
     // Split an attached query string off before matching, so
-    // `/jobs/<id>/trace?format=raw` routes like `/jobs/<id>/trace`.
+    // `/jobs/<trace-id>/trace?format=raw` routes like
+    // `/jobs/<trace-id>/trace`.
     let (path, query) = match request.path.split_once('?') {
         Some((p, q)) => (p, Some(q)),
         None => (request.path.as_str(), None),
@@ -516,7 +493,6 @@ fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'sta
     }
     match (request.method.as_str(), path) {
         ("POST", "/compile") => ("compile", state.compile(request, stream)),
-        ("POST", "/jobs") => ("jobs_submit", state.submit(request)),
         ("GET", path) if path.starts_with("/jobs/") && path.ends_with("/trace") => {
             let raw = query.is_some_and(|q| q.split('&').any(|kv| kv == "format=raw"));
             let id = path
@@ -528,14 +504,6 @@ fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'sta
             };
             ("jobs_trace", response)
         }
-        ("GET", path) if path.starts_with("/jobs/") => {
-            let id_text = &path["/jobs/".len()..];
-            let response = match id_text.parse::<u64>() {
-                Ok(id) => state.poll(id),
-                Err(_) => error_response(400, &format!("bad job id {id_text:?}")),
-            };
-            ("jobs_poll", response)
-        }
         ("GET", "/metrics") => ("metrics", Response::text(200, state.metrics_text(true))),
         ("GET", "/debug/events") => (
             "debug_events",
@@ -546,9 +514,7 @@ fn route<S: Service>(state: &S, request: &Request, stream: &TcpStream) -> (&'sta
             Response::json(503, "{\"status\":\"draining\"}".to_string()),
         ),
         ("GET", "/healthz") => ("healthz", state.healthz()),
-        (_, path)
-            if ["/compile", "/jobs", "/metrics", "/debug/events", "/healthz"].contains(&path) =>
-        {
+        (_, path) if ["/compile", "/metrics", "/debug/events", "/healthz"].contains(&path) => {
             ("other", error_response(405, "method not allowed"))
         }
         _ => ("other", error_response(404, "not found")),

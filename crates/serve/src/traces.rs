@@ -1,11 +1,12 @@
-//! Ring-buffered in-memory trace store behind `GET /jobs/<id>/trace`.
+//! Ring-buffered in-memory trace store behind
+//! `GET /jobs/<trace-id>/trace`.
 //!
 //! Every leader compile that the sampling policy keeps (plus every
 //! compile whose client supplied an `X-Ptmap-Trace-Id`, and every
 //! compile slower than the slow-compile threshold) deposits its span
 //! tree here, both as the raw [`Trace`] and as rendered Chrome
 //! trace-event JSON. The raw tree is what the gateway fetches (via
-//! `GET /jobs/<id>/trace?format=raw`) to stitch a cluster-wide trace;
+//! `GET /jobs/<trace-id>/trace?format=raw`) to stitch a cluster-wide trace;
 //! the rendered document serves direct viewer requests. The store is
 //! a bounded FIFO: a long-lived daemon holds at most
 //! [`TRACE_RETENTION`] traces and evicts the oldest, so memory stays
@@ -13,9 +14,7 @@
 //! recorder, not an archive.
 //!
 //! Lookup is by trace id (the value round-tripped in the
-//! `X-Ptmap-Trace-Id` response header). Numeric async-job ids are
-//! resolved to a trace id through the job table's completed outcome
-//! before reaching this store.
+//! `X-Ptmap-Trace-Id` response header).
 
 use crate::lock_unpoisoned;
 use ptmap_trace::{chrome_trace_json, Trace};

@@ -219,6 +219,8 @@ fn serve_bad_flags_exit_two() {
         &["serve", "--shadow-window", "8"],
         &["serve", "--promote-margin", "0.05"],
         &["serve", "--speculate", "auto"],
+        &["serve", "--queue-cap", "8"],
+        &["serve", "--max-inflight", "8"],
     ];
     for args in cases {
         let out = ptmap().args(*args).output().unwrap();

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `ptmap gateway` front: consistent-hash
-//! routing, breaker-driven failover, async-job continuity across a
-//! dead owner, and the cluster metrics contract.
+//! routing, breaker-driven failover, resharding past a busy peer, and
+//! the cluster metrics contract.
 //!
 //! Each test boots real daemons ([`Server`]) and a real gateway
 //! ([`Gateway`]) in-process on ephemeral ports; faults are injected
@@ -29,12 +29,17 @@ struct Daemon {
 
 impl Daemon {
     fn boot() -> Daemon {
-        let server = Server::bind(ServeConfig {
+        Daemon::boot_with(|_| {})
+    }
+
+    fn boot_with(tweak: impl FnOnce(&mut ServeConfig)) -> Daemon {
+        let mut config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             drain_timeout: Duration::from_secs(5),
             ..ServeConfig::default()
-        })
-        .expect("bind daemon");
+        };
+        tweak(&mut config);
+        let server = Server::bind(config).expect("bind daemon");
         let addr = server.local_addr().expect("daemon addr");
         let handle = server.handle();
         let runner = std::thread::spawn(move || server.run());
@@ -267,35 +272,33 @@ fn gateway_rejects_malformed_headers_before_forwarding() {
     let gw = Gw::boot(&[daemon.addr], |_| {});
     let spec = compile_spec("hdr", "vecsum:8");
 
-    for path in ["/compile", "/jobs"] {
-        let bad_deadline = http(
-            gw.addr,
-            "POST",
-            path,
-            &[("X-Ptmap-Deadline-Ms", "soon")],
-            &spec,
-        );
-        assert_eq!(bad_deadline.status, 400, "{}", bad_deadline.body);
-        assert!(
-            bad_deadline.body.contains("\"reason\":\"bad-deadline\""),
-            "{}",
-            bad_deadline.body
-        );
+    let bad_deadline = http(
+        gw.addr,
+        "POST",
+        "/compile",
+        &[("X-Ptmap-Deadline-Ms", "soon")],
+        &spec,
+    );
+    assert_eq!(bad_deadline.status, 400, "{}", bad_deadline.body);
+    assert!(
+        bad_deadline.body.contains("\"reason\":\"bad-deadline\""),
+        "{}",
+        bad_deadline.body
+    );
 
-        let bad_quality = http(
-            gw.addr,
-            "POST",
-            path,
-            &[("X-Ptmap-Quality", "speedy")],
-            &spec,
-        );
-        assert_eq!(bad_quality.status, 400, "{}", bad_quality.body);
-        assert!(
-            bad_quality.body.contains("\"reason\":\"bad-quality\""),
-            "{}",
-            bad_quality.body
-        );
-    }
+    let bad_quality = http(
+        gw.addr,
+        "POST",
+        "/compile",
+        &[("X-Ptmap-Quality", "speedy")],
+        &spec,
+    );
+    assert_eq!(bad_quality.status, 400, "{}", bad_quality.body);
+    assert!(
+        bad_quality.body.contains("\"reason\":\"bad-quality\""),
+        "{}",
+        bad_quality.body
+    );
 
     // Unroutable bodies are client errors, not forwards, with the same
     // structured reason the daemon gives.
@@ -316,14 +319,25 @@ fn gateway_rejects_malformed_headers_before_forwarding() {
         assert!(reply.body.contains("\"error\""), "{path}: {}", reply.body);
     }
 
-    // Error bodies are JSON whatever the input echoes back: a
-    // non-numeric job id (quotes) and a control character in the spec.
-    let reply = http(gw.addr, "GET", "/jobs/x", &[], "");
-    assert_eq!(reply.status, 400, "{}", reply.body);
+    // There is no async job API: `POST /jobs` and `GET /jobs/<id>`
+    // are JSON 404s.
+    for (method, path) in [("POST", "/jobs"), ("GET", "/jobs/1")] {
+        let reply = http(gw.addr, method, path, &[], &spec);
+        assert_eq!(reply.status, 404, "{method} {path}: {}", reply.body);
+        assert_eq!(
+            json(&reply.body).get("error").and_then(Value::as_str),
+            Some("not found")
+        );
+    }
+
+    // Error bodies are JSON whatever the input echoes back: a quote in
+    // a trace id and a control character in the spec.
+    let reply = http(gw.addr, "GET", "/jobs/\"x/trace", &[], "");
+    assert_eq!(reply.status, 404, "{}", reply.body);
     let doc = json(&reply.body);
     assert_eq!(
         doc.get("error").and_then(Value::as_str),
-        Some("bad job id \"x\"")
+        Some("no trace \"x")
     );
     let reply = http(
         gw.addr,
@@ -483,76 +497,82 @@ fn sync_compiles_fail_over_when_the_owner_refuses() {
 }
 
 #[test]
-fn async_jobs_survive_their_owner_dying() {
-    let daemons: Vec<Daemon> = (0..3).map(|_| Daemon::boot()).collect();
-    let peers: Vec<SocketAddr> = daemons.iter().map(|d| d.addr).collect();
-    let gw = Gw::boot(&peers, |_| {});
+fn a_busy_owner_is_resharded_to_the_next_replica() {
+    // The owner admits one compile at a time; the other peer has room.
+    let owner = Daemon::boot_with(|c| c.workers = 1);
+    let spare = Daemon::boot();
+    let gw = Gw::boot(&[owner.addr, spare.addr], |_| {});
+    let owner_addr = owner.addr.to_string();
 
-    // Submit through the gateway and note the owning peer.
-    let spec = compile_spec("survivor", "vecsum:20");
-    let submit = http(gw.addr, "POST", "/jobs", &[], &spec);
-    assert_eq!(submit.status, 202, "{}", submit.body);
-    let submit_doc = json(&submit.body);
-    let gid = match submit_doc.get("id") {
-        Some(Value::UInt(u)) => *u,
-        Some(Value::Int(i)) => *i as u64,
-        other => panic!("submit body has no id ({other:?}): {}", submit.body),
+    // Find a key the gateway routes to the owner.
+    let spec = (0..32)
+        .map(|i| compile_spec("probe", &format!("vecsum:{}", 20 + 4 * i)))
+        .find(|spec| {
+            let reply = http(gw.addr, "POST", "/compile", &[], spec);
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            reply.header("x-ptmap-peer") == Some(owner_addr.as_str())
+        })
+        .expect("some key is owned by the first peer");
+
+    // Pin the owner's only compile slot with a slow compile sent to it
+    // directly.
+    let _fault = faultpoint::install("mapper_place:delay:300@pin").unwrap();
+    let pin = {
+        let addr = owner.addr;
+        std::thread::spawn(move || {
+            http(
+                addr,
+                "POST",
+                "/compile",
+                &[],
+                &compile_spec("pin", "vecsum:16"),
+            )
+        })
     };
-    let owner = submit
-        .header("x-ptmap-peer")
-        .expect("submit names the owner")
-        .to_string();
+    wait_for(Duration::from_secs(30), "the pin to take the slot", || {
+        let text = http(owner.addr, "GET", "/metrics", &[], "").body;
+        metric_value(&text, "ptmap_inflight_compiles") == Some(1.0)
+    });
 
-    // Kill the owner (drains and releases its port).
-    let mut survivors = Vec::new();
-    for d in daemons {
-        if d.addr.to_string() == owner {
-            d.stop();
-        } else {
-            survivors.push(d);
-        }
-    }
-    assert_eq!(survivors.len(), 2, "exactly one daemon was the owner");
-
-    // Polling the gateway id must never 404: the gateway requeues the
-    // job onto a replica and eventually reports it done.
-    let t0 = Instant::now();
-    let done = loop {
-        let poll = http(gw.addr, "GET", &format!("/jobs/{gid}"), &[], "");
-        assert_ne!(
-            poll.status, 404,
-            "job lost after owner death: {}",
-            poll.body
-        );
-        if poll.status == 200 && poll.body.contains("\"state\":\"done\"") {
-            break poll;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(120),
-            "job never completed after requeue (last: {} {})",
-            poll.status,
-            poll.body
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(
-        done.body.contains(&format!("\"id\":{gid}")),
-        "poll bodies carry the gateway's id: {}",
-        done.body
+    // The owner answers 503 overloaded; the gateway reshards to the
+    // spare instead of relaying it.
+    let reply = http(gw.addr, "POST", "/compile", &[], &spec);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(
+        reply.header("x-ptmap-peer"),
+        Some(spare.addr.to_string().as_str())
     );
-    assert!(done.body.contains("\"report\""), "{}", done.body);
+    assert_eq!(pin.join().unwrap().status, 200);
 
+    let owner_text = http(owner.addr, "GET", "/metrics", &[], "").body;
+    assert_eq!(
+        labelled_value(
+            &owner_text,
+            "ptmap_admission_rejects_total",
+            "reason=\"capacity\""
+        ),
+        Some(1.0),
+        "{owner_text}"
+    );
     let text = gw.handle.metrics_text();
     assert!(
-        metric_value(&text, "ptmap_gateway_jobs_requeued_total").unwrap_or(0.0) >= 1.0,
-        "the requeue must be visible in metrics:\n{text}"
+        metric_value(&text, "ptmap_gateway_retries_total").unwrap_or(0.0) >= 1.0,
+        "the reshard must be counted as a retry:\n{text}"
+    );
+    // A 503 proves the peer alive: no transport failure is recorded.
+    assert_eq!(
+        labelled_value(
+            &text,
+            "ptmap_gateway_forward_failures_total",
+            &format!("peer=\"{owner_addr}\"")
+        ),
+        Some(0.0),
+        "{text}"
     );
 
-    let summary = gw.stop();
-    assert!(summary.requeued >= 1);
-    for d in survivors {
-        d.stop();
-    }
+    gw.stop();
+    owner.stop();
+    spare.stop();
 }
 
 #[test]

@@ -93,6 +93,18 @@ fn metric_value(text: &str, metric: &str) -> Option<f64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
+/// Polls `/metrics` until the unlabelled `metric` reads 1.
+fn wait_for_one(addr: SocketAddr, metric: &str) {
+    let t0 = Instant::now();
+    while metric_value(&http(addr, "GET", "/metrics", &[], "").body, metric) != Some(1.0) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "{metric} never reached 1"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 /// Extracts a labelled series value, matching on substring of the
 /// label set.
 fn labelled_value(text: &str, metric: &str, label_part: &str) -> Option<f64> {
@@ -116,18 +128,7 @@ fn concurrent_identical_compiles_share_one_flight() {
     };
     // Wait until the leader's flight is registered before launching
     // the followers: from that point, identical requests must coalesce.
-    let t0 = Instant::now();
-    loop {
-        let text = http(addr, "GET", "/metrics", &[], "").body;
-        if metric_value(&text, "ptmap_inflight_flights") == Some(1.0) {
-            break;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "leader never started"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_for_one(addr, "ptmap_inflight_flights");
     let followers: Vec<_> = (0..3)
         .map(|_| {
             let spec = spec.clone();
@@ -276,7 +277,12 @@ fn expired_deadline_is_rejected_at_admission() {
         &[("X-Ptmap-Deadline-Ms", "soon")],
         &compile_spec("doomed", "gemm:8"),
     );
-    assert_eq!(reply.status, 400);
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(
+        reply.body.contains("\"reason\":\"bad-deadline\""),
+        "{}",
+        reply.body
+    );
 
     handle.shutdown();
     runner.join().unwrap();
@@ -310,9 +316,7 @@ fn metrics_document_parses_and_covers_the_contract() {
         "ptmap_http_request_seconds_count",
         "ptmap_coalesced_requests_total",
         "ptmap_compiles_started_total",
-        "ptmap_queue_depth",
         "ptmap_inflight_compiles",
-        "ptmap_workers_alive",
         "ptmap_cache_hits_total",
         "ptmap_stage_seconds_total",
         "ptmap_pipeline_events_total",
@@ -323,50 +327,6 @@ fn metrics_document_parses_and_covers_the_contract() {
         labelled_value(&text, "ptmap_http_requests_total", "endpoint=\"compile\"").is_some(),
         "{text}"
     );
-
-    handle.shutdown();
-    runner.join().unwrap();
-}
-
-#[test]
-fn async_jobs_submit_and_poll_to_completion() {
-    let (addr, handle, runner) = boot(ServeConfig::default());
-
-    let reply = http(
-        addr,
-        "POST",
-        "/jobs",
-        &[],
-        &compile_spec("async", "vecsum:12"),
-    );
-    assert_eq!(reply.status, 202, "{}", reply.body);
-    let id: u64 = reply
-        .body
-        .split("\"id\":")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .and_then(|n| n.trim().parse().ok())
-        .expect("submission returns an id");
-
-    let t0 = Instant::now();
-    let done = loop {
-        let poll = http(addr, "GET", &format!("/jobs/{id}"), &[], "");
-        assert_eq!(poll.status, 200, "{}", poll.body);
-        if poll.body.contains("\"state\":\"done\"") {
-            break poll;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(120),
-            "job never finished: {}",
-            poll.body
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(done.body.contains("\"outcome\""), "{}", done.body);
-    assert!(done.body.contains("\"report\""), "{}", done.body);
-
-    assert_eq!(http(addr, "GET", "/jobs/999999", &[], "").status, 404);
-    assert_eq!(http(addr, "GET", "/jobs/not-a-number", &[], "").status, 400);
 
     handle.shutdown();
     runner.join().unwrap();
@@ -488,149 +448,68 @@ fn sampling_drops_traces_but_client_ids_are_kept() {
 }
 
 #[test]
-fn async_job_trace_is_fetchable_by_job_id() {
-    let (addr, handle, runner) = boot(ServeConfig::default());
-
-    let reply = http(
-        addr,
-        "POST",
-        "/jobs",
-        &[],
-        &compile_spec("async-traced", "vecsum:20"),
-    );
-    assert_eq!(reply.status, 202, "{}", reply.body);
-    let id: u64 = reply
-        .body
-        .split("\"id\":")
-        .nth(1)
-        .and_then(|rest| rest.split(',').next())
-        .and_then(|n| n.trim().parse().ok())
-        .expect("submission returns an id");
-
-    let t0 = Instant::now();
-    loop {
-        let poll = http(addr, "GET", &format!("/jobs/{id}"), &[], "");
-        if poll.body.contains("\"state\":\"done\"") {
-            break;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(120),
-            "job never finished: {}",
-            poll.body
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    let fetched = http(addr, "GET", &format!("/jobs/{id}/trace"), &[], "");
-    assert_eq!(fetched.status, 200, "{}", fetched.body);
-    assert!(fetched.body.contains("traceEvents"), "{}", fetched.body);
-    assert!(fetched.body.contains("ii_attempt"), "{}", fetched.body);
-
-    handle.shutdown();
-    runner.join().unwrap();
-}
-
-#[test]
-fn async_submissions_validate_headers_like_sync_compiles() {
-    let (addr, handle, runner) = boot(ServeConfig::default());
-    let spec = compile_spec("async-hdr", "vecsum:8");
-
-    // A malformed deadline on /jobs is a structured client error, not
-    // silently ignored (it used to be dropped on the async path).
-    let bad_deadline = http(
-        addr,
-        "POST",
-        "/jobs",
-        &[("X-Ptmap-Deadline-Ms", "soon")],
-        &spec,
-    );
-    assert_eq!(bad_deadline.status, 400, "{}", bad_deadline.body);
-    assert!(
-        bad_deadline.body.contains("\"reason\":\"bad-deadline\""),
-        "{}",
-        bad_deadline.body
-    );
-
-    let bad_quality = http(
-        addr,
-        "POST",
-        "/jobs",
-        &[("X-Ptmap-Quality", "speedy")],
-        &spec,
-    );
-    assert_eq!(bad_quality.status, 400, "{}", bad_quality.body);
-    assert!(
-        bad_quality.body.contains("\"reason\":\"bad-quality\""),
-        "{}",
-        bad_quality.body
-    );
-
-    // Well-formed values are still accepted.
-    let ok = http(
-        addr,
-        "POST",
-        "/jobs",
-        &[
-            ("X-Ptmap-Deadline-Ms", "60000"),
-            ("X-Ptmap-Quality", "heuristic"),
-        ],
-        &spec,
-    );
-    assert_eq!(ok.status, 202, "{}", ok.body);
-
-    // The sync path's malformed-deadline rejection carries the same
-    // structured reason.
-    let sync_bad = http(
-        addr,
-        "POST",
-        "/compile",
-        &[("X-Ptmap-Deadline-Ms", "soon")],
-        &spec,
-    );
-    assert_eq!(sync_bad.status, 400, "{}", sync_bad.body);
-    assert!(
-        sync_bad.body.contains("\"reason\":\"bad-deadline\""),
-        "{}",
-        sync_bad.body
-    );
-
-    handle.shutdown();
-    runner.join().unwrap();
-}
-
-#[test]
-fn queue_full_rejections_carry_retry_after() {
-    // One worker and a one-slot queue: the second and third async
-    // submissions of slow compiles overflow the queue.
+fn capacity_rejections_carry_retry_after_but_followers_ride_free() {
+    // One compile slot, pinned by a slow compile: an identical request
+    // coalesces onto it, a distinct one is refused as overloaded.
     let _fault = faultpoint::install("mapper_place:delay:300@slow").unwrap();
     let (addr, handle, runner) = boot(ServeConfig {
         workers: 1,
-        queue_cap: 1,
         ..ServeConfig::default()
     });
 
-    let mut saw_503 = None;
-    for i in 0..6 {
-        let spec = compile_spec("slow", &format!("vecsum:{}", 8 + 4 * i));
-        let reply = http(addr, "POST", "/jobs", &[], &spec);
-        if reply.status == 503 {
-            saw_503 = Some(reply);
-            break;
-        }
-        assert_eq!(reply.status, 202, "{}", reply.body);
-    }
-    let reject = saw_503.expect("a one-slot queue must overflow within six submissions");
+    let spec = compile_spec("slow", "vecsum:16");
+    let leader = {
+        let spec = spec.clone();
+        std::thread::spawn(move || http(addr, "POST", "/compile", &[], &spec))
+    };
+    wait_for_one(addr, "ptmap_inflight_compiles");
+    let follower = {
+        let spec = spec.clone();
+        std::thread::spawn(move || http(addr, "POST", "/compile", &[], &spec))
+    };
+    wait_for_one(addr, "ptmap_coalesced_requests_total");
+
+    let reject = http(
+        addr,
+        "POST",
+        "/compile",
+        &[],
+        &compile_spec("other", "vecsum:20"),
+    );
+    assert_eq!(reject.status, 503, "{}", reject.body);
     assert!(
-        reject.body.contains("\"reason\":\"queue-full\""),
+        reject.body.contains("\"error_class\":\"overloaded\""),
         "{}",
         reject.body
     );
     let retry_after: u64 = reject
         .header("retry-after")
-        .expect("busy rejections must carry Retry-After")
+        .expect("capacity rejections must carry Retry-After")
         .parse()
         .expect("Retry-After is seconds");
     assert!(retry_after >= 1);
+
+    let lead_reply = leader.join().unwrap();
+    assert_eq!(lead_reply.status, 200, "{}", lead_reply.body);
+    let follow_reply = follower.join().unwrap();
+    assert_eq!(follow_reply.status, 200, "{}", follow_reply.body);
+    assert_eq!(follow_reply.header("x-ptmap-coalesced"), Some("1"));
+    assert_eq!(follow_reply.body, lead_reply.body);
+
+    let text = http(addr, "GET", "/metrics", &[], "").body;
+    assert_eq!(
+        labelled_value(
+            &text,
+            "ptmap_admission_rejects_total",
+            "reason=\"capacity\""
+        ),
+        Some(1.0),
+        "{text}"
+    );
+    assert_eq!(
+        metric_value(&text, "ptmap_compiles_started_total"),
+        Some(1.0)
+    );
 
     handle.shutdown();
     runner.join().unwrap();
@@ -658,23 +537,25 @@ fn bad_requests_and_unknown_routes() {
         "unresolvable kernel"
     );
     assert_eq!(http(addr, "GET", "/compile", &[], "").status, 405);
-    assert_eq!(http(addr, "DELETE", "/jobs", &[], "").status, 405);
     assert_eq!(http(addr, "GET", "/", &[], "").status, 404);
-    // The daemon has no model endpoint: `/model` is an unknown route.
-    let reply = http(addr, "GET", "/model", &[], "");
-    assert_eq!(reply.status, 404, "{}", reply.body);
-    assert_eq!(error_message(&reply.body), "not found");
+    // Unknown routes are JSON 404s: the daemon has no model endpoint
+    // and no async job API (`POST /jobs`, `GET /jobs/<id>`).
+    for (method, path) in [("GET", "/model"), ("POST", "/jobs"), ("GET", "/jobs/1")] {
+        let reply = http(addr, method, path, &[], &compile_spec("gone", "vecsum:8"));
+        assert_eq!(reply.status, 404, "{method} {path}: {}", reply.body);
+        assert_eq!(error_message(&reply.body), "not found");
+    }
     // A trace path without an id is a JSON 404, not a handler panic.
     for path in ["/jobs/trace", "/jobs//trace"] {
         let reply = http(addr, "GET", path, &[], "");
         assert_eq!(reply.status, 404, "{path}: {}", reply.body);
         assert!(reply.body.contains("\"error\""), "{path}: {}", reply.body);
     }
-    // Error bodies are JSON whatever the input echoes back: a
-    // non-numeric job id (quotes) and a control character in the spec.
-    let reply = http(addr, "GET", "/jobs/x", &[], "");
-    assert_eq!(reply.status, 400, "{}", reply.body);
-    assert_eq!(error_message(&reply.body), "bad job id \"x\"");
+    // Error bodies are JSON whatever the input echoes back: a quote in
+    // a trace id and a control character in the spec.
+    let reply = http(addr, "GET", "/jobs/\"x/trace", &[], "");
+    assert_eq!(reply.status, 404, "{}", reply.body);
+    assert_eq!(error_message(&reply.body), "no trace \"x");
     let reply = http(addr, "POST", "/compile", &[], CONTROL_CHAR_SPEC);
     assert_eq!(reply.status, 400, "{}", reply.body);
     assert!(

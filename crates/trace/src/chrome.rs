@@ -62,7 +62,7 @@ fn event(name: &str, ph: &str, ns: u64, extra: Vec<(String, Value)>) -> Value {
 /// Renders a trace as Chrome trace-event JSON (one self-contained
 /// document per compile; this is what `ptmap batch --trace-dir` writes
 /// to `<job>.trace.json` and `ptmap serve` returns from
-/// `GET /jobs/<id>/trace`).
+/// `GET /jobs/<trace-id>/trace`).
 pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut children: Vec<Vec<u32>> = vec![Vec::new(); trace.spans.len()];
     let mut roots: Vec<u32> = Vec::new();

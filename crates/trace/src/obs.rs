@@ -444,13 +444,13 @@ mod tests {
         let line = log.render_text(
             1.5,
             Level::Warn,
-            "requeue",
+            "forward_failed",
             Some("ab"),
             "peer died",
             &[("peer", AttrValue::Str("a b".into()))],
         );
         assert!(line.contains("WARN"), "{line}");
-        assert!(line.contains("requeue"), "{line}");
+        assert!(line.contains("forward_failed"), "{line}");
         assert!(line.contains("trace_id=ab"), "{line}");
         assert!(line.contains("peer=\"a b\""), "{line}");
         assert!(line.ends_with(": peer died"), "{line}");

@@ -2,7 +2,7 @@
 //!
 //! A clustered compile produces two span trees with the same trace ID
 //! on two different monotonic clocks: the gateway's (admission, ring
-//! lookup, per-attempt `forward` spans, requeues) and the daemon's
+//! lookup, per-attempt `forward` spans) and the daemon's
 //! (the `compile` tree the pipeline records). [`stitch`] merges them
 //! into one tree the Chrome renderer can draw:
 //!
